@@ -42,7 +42,10 @@ class StateArchive {
  public:
   enum class Mode { kWrite, kRead };
 
-  static constexpr std::uint32_t kFormatVersion = 1;
+  /// 2: each component archives its instant-work ledger (folded-through
+  /// tick plus pending (tick, work) entries) instead of two tick-parity
+  /// buckets.
+  static constexpr std::uint32_t kFormatVersion = 2;
 
   explicit StateArchive(Mode mode) : mode_(mode) {}
 

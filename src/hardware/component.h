@@ -16,12 +16,21 @@
 // they matter. This keeps the tick length an order of magnitude below the
 // canonical costs, as the thesis requires, without making every metadata
 // hop cost a full tick.
+//
+// Accounted work does not wake the component. It lands in a per-tick ledger
+// and is folded into the utilization window lazily, in tick order, the next
+// time anything runs or observes the component (on_tick,
+// take_window_utilization, settle_instant, snapshot save). A ledger tick
+// the component did not run is a tick its discipline was empty, so the fold
+// adds exactly what the skipped tick would have added (DESIGN.md §5).
 #pragma once
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "core/agent.h"
@@ -146,19 +155,20 @@ class Component : public Agent {
 
   void on_tick(Tick now) final {
     GDISIM_TICK_PROF_SCOPE(tickprof::Bucket::kQueueing);
-    // Load-then-store beats an unconditional exchange here: the bucket is
-    // almost always zero, and any writer during tick `now` targets the
-    // *other* parity bucket, so the non-atomic-looking sequence cannot lose
-    // an update.
-    std::atomic<double>& bucket = instant_buckets_[static_cast<std::size_t>(now) & 1];
-    const double instant = bucket.load(std::memory_order_relaxed);
-    if (instant != 0.0) {
-      bucket.store(0.0, std::memory_order_relaxed);
-      const double cap = capacity_per_second() * tick_seconds_;
-      instant_fraction_ = cap > 0.0 ? instant / cap : 0.0;
+    settle_instant(now);
+    // This tick's own sub-tick work, accounted during tick now - 1. Writers
+    // running concurrently with this tick target slot now + 1.
+    const std::uint64_t bit = std::uint64_t{1} << instant_slot(now);
+    if ((instant_mask_.load(std::memory_order_relaxed) & bit) != 0) {
+      instant_fraction_ = take_instant_fraction(instant_slot(now));
+      instant_mask_.fetch_and(~bit, std::memory_order_relaxed);
     } else {
       instant_fraction_ = 0.0;  // 0 / cap — skip the virtual capacity call
     }
+    instant_folded_.store(now, std::memory_order_relaxed);
+#if GDISIM_AUDIT_ENABLED
+    audit_last_on_tick_ = now;
+#endif
     if (!analytic_jobs_.empty()) serve_analytic(now);
     advance_tick(now, tick_seconds_);
     window_accum_ += utilization();
@@ -181,6 +191,7 @@ class Component : public Agent {
   /// (which would have accumulated exactly zero on every skipped tick)
   /// reports the same mean as under the dense sweep. Resets the window.
   double take_window_utilization(Tick now) {
+    settle_instant(now);
     const Tick span = now - window_start_tick_;
     // Busy-tick equivalents booked by bypassing senders (fixed-point so the
     // concurrent sum is order-independent) fold into the same window.
@@ -194,34 +205,80 @@ class Component : public Agent {
     return u;
   }
 
-  /// Records work served "instantly" (below the sub-tick threshold) at tick
-  /// `now`. Thread-safe; callable from any worker during routing. The work
-  /// is folded into utilization at tick now + 1 regardless of how the
-  /// accounting interleaves with this component's own tick phase — two
-  /// buckets indexed by tick parity separate "accumulating" from "folding",
-  /// which makes utilization attribution deterministic under any thread
-  /// schedule and identical between scheduler modes.
+  /// Ledger capacity in ticks (power of two: slot = tick & (kInstantSlots-1)).
+  static constexpr Tick kInstantSlots = 64;
+  /// Longest interval a driver may leave between two settle_instant calls
+  /// (or runs) of a component. Writes land at most two ticks ahead of the
+  /// loop, so settling this often keeps every pending tick within one
+  /// ledger revolution; Topology::register_with installs the hook.
+  static constexpr Tick kInstantSettleEvery = kInstantSlots / 2;
+
+  /// Records work served "instantly" (below the sub-tick threshold) during
+  /// tick `now`; it counts toward utilization at tick now + 1, under any
+  /// thread schedule and both scheduler modes. Thread-safe; callable from
+  /// any worker during routing. It never wakes the component: the work is
+  /// added to ledger slot (now + 1) & (kInstantSlots - 1), and the next
+  /// on_tick or settle_instant folds it.
   void account_instant(double work, Tick now) {
     GDISIM_AUDIT_NONNEG(work, "Component: negative instant work accounted");
-    instant_buckets_[static_cast<std::size_t>(now + 1) & 1].fetch_add(
-        work, std::memory_order_relaxed);
-    request_wake();
+    const Tick at = now + 1;
+    GDISIM_AUDIT_CHECK(at - instant_folded_.load(std::memory_order_relaxed) <= kInstantSlots,
+                       "Component: instant ledger wrapped; the driver did not settle it "
+                       "within kInstantSettleEvery ticks");
+    const std::size_t slot = instant_slot(at);
+    instant_ledger_[slot].fetch_add(work, std::memory_order_relaxed);
+    const std::uint64_t bit = std::uint64_t{1} << slot;
+    if ((instant_mask_.load(std::memory_order_relaxed) & bit) == 0) {
+      instant_mask_.fetch_or(bit, std::memory_order_relaxed);
+    }
   }
 
-  /// Active when it has queued/in-service jobs, pending deliveries, or
-  /// pending instant work; otherwise parked until a delivery or instant
-  /// accounting wakes it. Residual state (last tick's raw_utilization /
-  /// instant_fraction_) does NOT keep the component awake: the decay tick
-  /// that would zero them contributes exactly 0 to every window accumulator
-  /// (empty queue, empty bucket), so all collected series are unchanged —
-  /// only the stale instantaneous utilization() value lingers, and nothing
-  /// in the simulator probes it between wakes.
-  Tick next_wake_tick(Tick next_now) const override {
-    if (queue_length() > 0 || !inbox_.empty() ||
-        instant_buckets_[0].load(std::memory_order_relaxed) != 0.0 ||
-        instant_buckets_[1].load(std::memory_order_relaxed) != 0.0) {
-      return next_now;
+  /// Folds every ledger tick t < `before` into the utilization window, in
+  /// tick order. Such a tick is one this component did not run: on_tick(t)
+  /// would have consumed it. The scheduler skips a component only while its
+  /// discipline is empty (next_wake_tick), and an empty discipline's
+  /// raw_utilization() is 0, so each fold adds exactly what that skipped
+  /// tick would have added. Called by the component itself and, between
+  /// agent phases, by drivers (see kInstantSettleEvery) and the snapshot
+  /// writer; idempotent for a given `before`.
+  void settle_instant(Tick before) {
+    const Tick first = instant_folded_.load(std::memory_order_relaxed) + 1;
+    if (before <= first) return;
+    const std::uint64_t pending = instant_mask_.load(std::memory_order_relaxed);
+    if (pending != 0) {
+      const std::size_t base = instant_slot(first);
+      // Bit i of `due` is ledger tick first + i.
+      std::uint64_t due = std::rotr(pending, static_cast<int>(base));
+      if (before - first < kInstantSlots) {
+        due &= (std::uint64_t{1} << (before - first)) - 1;
+      }
+      std::uint64_t taken = 0;
+      while (due != 0) {
+        const int i = std::countr_zero(due);
+        due &= due - 1;
+        GDISIM_AUDIT_CHECK(first + i > audit_last_on_tick_,
+                           "Component: instant ledger folded a tick the component ran");
+        const std::size_t slot = instant_slot(first + i);
+        instant_fraction_ = take_instant_fraction(slot);
+        window_accum_ += std::min(1.0, 0.0 + instant_fraction_);
+        taken |= std::uint64_t{1} << slot;
+      }
+      if (taken != 0) instant_mask_.fetch_and(~taken, std::memory_order_relaxed);
     }
+    instant_folded_.store(before - 1, std::memory_order_relaxed);
+  }
+
+  /// True while some accounted instant work is not yet folded.
+  bool instant_pending() const { return instant_mask_.load(std::memory_order_relaxed) != 0; }
+
+  /// Active when it has queued/in-service jobs or pending deliveries;
+  /// otherwise parked until a delivery wakes it. Pending instant work does
+  /// not keep it awake (settle_instant folds it exactly), and neither does
+  /// residual state: last tick's raw_utilization / instant_fraction_ only
+  /// feed the instantaneous utilization() gauge, which nothing in the
+  /// simulator probes between runs.
+  Tick next_wake_tick(Tick next_now) const override {
+    if (queue_length() > 0 || !inbox_.empty()) return next_now;
     // An analytic station quiesces until its earliest sampled completion:
     // the wake calendar delivers it straight to that tick with no per-tick
     // work in between.
@@ -404,7 +461,7 @@ class Component : public Agent {
   virtual std::size_t queue_length() const = 0;
 
   /// Snapshot round trip shared by every hardware component: agent base,
-  /// undrained inbox, instant-work buckets and the utilization window, then
+  /// undrained inbox, instant-work ledger and the utilization window, then
   /// the subclass discipline via archive_discipline().
   void archive_state(StateArchive& ar, HandlerRegistry& reg) override {
     Agent::archive_state(ar, reg);
@@ -412,14 +469,7 @@ class Component : public Agent {
     inbox_.archive_state(ar, [&reg](StateArchive& a, StageJob& job) {
       archive_stage_job(a, reg, job);
     });
-    double b0 = instant_buckets_[0].load(std::memory_order_relaxed);
-    double b1 = instant_buckets_[1].load(std::memory_order_relaxed);
-    ar.f64(b0);
-    ar.f64(b1);
-    if (ar.reading()) {
-      instant_buckets_[0].store(b0, std::memory_order_relaxed);
-      instant_buckets_[1].store(b1, std::memory_order_relaxed);
-    }
+    archive_instant_ledger(ar);
     ar.f64(instant_fraction_);
     ar.f64(window_accum_);
     ar.i64(window_start_tick_);
@@ -589,7 +639,9 @@ class Component : public Agent {
     // Utilization window accounting: the whole job's busy-tick equivalent is
     // booked at admission (the station will not run on the in-between
     // ticks), so take_window_utilization keeps reporting the same means the
-    // discrete regime would.
+    // discrete regime would. Earlier ticks' instant work folds first, so the
+    // window sums in the same order as when every such tick ran.
+    settle_instant(now);
     const double cap = capacity_per_second();
     if (cap > 0.0 && tick_seconds_ > 0.0) window_accum_ += job.work / (cap * tick_seconds_);
     ++analytic_admitted_;
@@ -611,15 +663,84 @@ class Component : public Agent {
     }
   }
 
+  static std::size_t instant_slot(Tick t) {
+    return static_cast<std::size_t>(t) & static_cast<std::size_t>(kInstantSlots - 1);
+  }
+
+  /// Empties one ledger slot and returns its work as a fraction of one
+  /// tick's capacity — the instant_fraction_ of the tick it belongs to.
+  double take_instant_fraction(std::size_t slot) {
+    const double work = instant_ledger_[slot].load(std::memory_order_relaxed);
+    instant_ledger_[slot].store(0.0, std::memory_order_relaxed);
+    const double cap = capacity_per_second() * tick_seconds_;
+    return cap > 0.0 ? work / cap : 0.0;
+  }
+
+  /// Snapshot form of the ledger: the folded-through tick, then the pending
+  /// (tick, work) entries in tick order. Savers settle first, so at most the
+  /// next two ticks remain.
+  void archive_instant_ledger(StateArchive& ar) {
+    Tick folded = instant_folded_.load(std::memory_order_relaxed);
+    ar.i64(folded);
+    std::uint64_t mask = instant_mask_.load(std::memory_order_relaxed);
+    std::size_t n = static_cast<std::size_t>(std::popcount(mask));
+    ar.size_value(n);
+    if (ar.reading()) {
+      if (n > static_cast<std::size_t>(kInstantSlots)) {
+        throw std::runtime_error("component: instant ledger holds more than one revolution");
+      }
+      for (auto& w : instant_ledger_) w.store(0.0, std::memory_order_relaxed);
+      mask = 0;
+    }
+    Tick cursor = folded;  // writer: last entry emitted
+    for (std::size_t i = 0; i < n; ++i) {
+      Tick at = 0;
+      double work = 0.0;
+      if (ar.writing()) {
+        do {
+          ++cursor;
+        } while ((mask & (std::uint64_t{1} << instant_slot(cursor))) == 0);
+        at = cursor;
+        work = instant_ledger_[instant_slot(at)].load(std::memory_order_relaxed);
+      }
+      ar.i64(at);
+      ar.f64(work);
+      if (ar.reading()) {
+        if (at <= folded || at > folded + kInstantSlots) {
+          throw std::runtime_error("component: instant ledger tick outside its revolution");
+        }
+        instant_ledger_[instant_slot(at)].store(work, std::memory_order_relaxed);
+        mask |= std::uint64_t{1} << instant_slot(at);
+      }
+    }
+    if (ar.reading()) {
+      instant_mask_.store(mask, std::memory_order_relaxed);
+      instant_folded_.store(folded, std::memory_order_relaxed);
+#if GDISIM_AUDIT_ENABLED
+      audit_last_on_tick_ = folded;
+#endif
+    }
+  }
+
   Inbox<StageJob> inbox_;
   /// Reused drain buffer; its capacity amortizes across interaction phases.
   std::vector<Delivery<StageJob>> drain_scratch_;  // ARCHIVE-TRANSIENT: per-tick scratch; empty between ticks
   double tick_seconds_ = 0.0;  // ARCHIVE-TRANSIENT: clock configuration fixed at construction
-  /// Tick-parity double buffer: work accounted at tick t lands in bucket
-  /// (t+1)&1 and is folded by on_tick(t+1), which reads bucket (t+1)&1. The
-  /// phase barrier separates all writers of a bucket from its reader.
-  // GDISIM-SHARED: cross-agent work accounting; tick-parity buffering splits writers/reader
-  std::atomic<double> instant_buckets_[2] = {0.0, 0.0};
+  /// Instant-work ledger: slot t & (kInstantSlots-1) holds the work that
+  /// counts toward tick t; bit s of the mask marks slot s occupied. During a
+  /// phase, writers target ticks after the loop's current tick while the
+  /// component folds only ticks up to it, so no slot has a writer and a
+  /// reader at once; the phase barriers order everything else.
+  // GDISIM-SHARED: cross-agent work accounting; writers and the folder touch disjoint ticks within a phase
+  std::atomic<double> instant_ledger_[kInstantSlots] = {};
+  // GDISIM-SHARED: occupancy bits set by cross-agent writers, cleared by the owner's fold
+  std::atomic<std::uint64_t> instant_mask_{0};
+  /// Every ledger tick <= this has been folded (archived with the ledger).
+  // GDISIM-SHARED: written by the owner's fold; read by writers' audit check only
+  std::atomic<Tick> instant_folded_{-1};
+#if GDISIM_AUDIT_ENABLED
+  Tick audit_last_on_tick_ = -1;  // ARCHIVE-TRANSIENT: audit diagnostic; reset on restore
+#endif
   double instant_fraction_ = 0.0;
   double window_accum_ = 0.0;
   Tick window_start_tick_ = 0;

@@ -151,10 +151,19 @@ void Topology::archive_failure_state(StateArchive& ar) {
 }
 
 void Topology::register_with(SimulationLoop& loop) {
-  for (Component* c : all_components()) {
+  std::vector<Component*> components = all_components();
+  for (Component* c : components) {
     c->set_tick_seconds(loop.clock().tick_seconds());
     loop.add_agent(c);
   }
+  // Sub-tick work waits in each component's instant ledger until something
+  // folds it (Component::settle_instant). Idle components never run, so
+  // this single-threaded hook folds everyone often enough that no ledger
+  // wraps; it adds nothing to any result.
+  loop.add_pre_tick_hook([components = std::move(components)](Tick now) {
+    if (now % Component::kInstantSettleEvery != 0) return;
+    for (Component* c : components) c->settle_instant(now);
+  });
 }
 
 }  // namespace gdisim

@@ -53,6 +53,8 @@ class Topology {
   std::vector<Component*> all_components();
 
   /// Registers all components with the loop and sets their tick length.
+  /// Also installs the pre-tick hook that settles every component's
+  /// instant-work ledger each Component::kInstantSettleEvery ticks.
   void register_with(SimulationLoop& loop);
 
   /// Snapshot round trip of the failure-injection state: per-tier server

@@ -67,8 +67,12 @@ void archive_simulation(StateArchive& ar, Scenario& scenario, SimulationLoop& lo
 
   // Hardware components in AgentId order. Software agents are Agents but not
   // Components, so the dynamic_cast filter skips them (they archived above).
+  // A saver first folds every instant-ledger tick before loop.now(). That is
+  // the fold any later run or probe would make, in the same order, so no
+  // result changes, and each ledger keeps at most the next two ticks.
   for (std::size_t id = 0; id < loop.agent_count(); ++id) {
     if (auto* c = dynamic_cast<Component*>(loop.agent(static_cast<AgentId>(id)))) {
+      if (ar.writing()) c->settle_instant(loop.now());
       c->archive_state(ar, reg);
     }
   }

@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "core/engine.h"
+#include "core/h_dispatch.h"
 #include "core/sim_loop.h"
 #include "hardware/cpu.h"
 #include "hardware/delay.h"
@@ -325,6 +326,152 @@ TEST(Component, InstantAccountingRaisesUtilization) {
   EXPECT_NEAR(nic.utilization(), 0.5, 1e-9);  // 5e6 / (1e9 * 0.01)
   nic.on_tick(2);
   EXPECT_NEAR(nic.utilization(), 0.0, 1e-9);  // accounted once only
+}
+
+/// Sub-tick work accounted on the given ticks (work varies per tick so a
+/// fold in the wrong order or onto the wrong tick changes the sum's bits).
+double instant_work_at(Tick t) {
+  if (t % 5 == 3) return 0.0;  // no accounting on this tick
+  return 1e5 * (1.0 + 0.37 * static_cast<double>(t % 11)) + static_cast<double>(t) / 3.0;
+}
+
+// Exactness (a): instant work on idle ticks with no run in between folds
+// to a window bit-equal to a driver that ticks every tick. The lazy driver
+// runs the component only while its discipline has work, like the
+// active-set scheduler, so folds interleave with real ticks.
+TEST(InstantLedger, LazyFoldMatchesTickingEveryTick) {
+  NicComponent dense(NicSpec{1e9});
+  NicComponent lazy(NicSpec{1e9});
+  RecordingHandler h;
+  ComponentHarness dense_h(dense, 0.01);
+  lazy.set_tick_seconds(0.01);
+  lazy.set_id(0);
+  std::vector<double> dense_windows;
+  std::vector<double> lazy_windows;
+  const Tick end = Component::kInstantSettleEvery + 20;
+  for (Tick t = 0; t < end; ++t) {
+    if (const double w = instant_work_at(t); w > 0.0) {
+      dense.account_instant(w, t);
+      lazy.account_instant(w, t);
+    }
+    if (t == 7 || t == 30) {  // 3 Mb and 20 Mb: one and several ticks of service
+      const double bits = t == 7 ? 3e6 : 2e7;
+      dense_h.submit(bits, &h);
+      lazy.submit(t + 1, 99, static_cast<std::uint64_t>(t), StageJob{bits, &h, 0});
+    }
+    dense_h.step();
+    if (lazy.queue_length() > 0) lazy.on_tick(t);
+    lazy.on_interactions(t + 1);
+    if (t + 1 == 17 || t + 1 == end) {  // collection samples at tick t + 1
+      dense_windows.push_back(dense.take_window_utilization(t + 1));
+      lazy_windows.push_back(lazy.take_window_utilization(t + 1));
+    }
+  }
+  ASSERT_EQ(dense_windows.size(), 2u);
+  EXPECT_GT(dense_windows[1], 0.0);
+  EXPECT_EQ(dense_windows, lazy_windows);
+  EXPECT_EQ(h.completions.size(), 4u);  // 2 per driver: the lazy one served its jobs too
+}
+
+// A fold is idempotent and never reaches past `before`: work accounted
+// during tick t stays pending until a fold or tick covers t + 1.
+TEST(InstantLedger, SettleFoldsOnlyTicksBeforeItsBound) {
+  NicComponent nic(NicSpec{1e9});
+  nic.set_tick_seconds(0.01);
+  nic.account_instant(5e6, 3);  // counts toward tick 4
+  nic.settle_instant(4);
+  EXPECT_TRUE(nic.instant_pending());
+  nic.settle_instant(5);
+  EXPECT_FALSE(nic.instant_pending());
+  nic.settle_instant(5);
+  EXPECT_EQ(nic.take_window_utilization(10), 0.5 / 10.0);
+}
+
+// An analytic admission books its whole job into the window during the
+// interaction phase; pending instant work from earlier ticks must be folded
+// first, or the window sums the same terms in another order than a station
+// that ran every tick. The lazy driver runs the station only when its
+// next_wake_tick answer says so, as the active-set scheduler does.
+TEST(InstantLedger, AnalyticAdmissionFoldsEarlierTicksFirst) {
+  NicComponent dense(NicSpec{1e9});
+  NicComponent lazy(NicSpec{1e9});
+  RecordingHandler h;
+  for (NicComponent* nic : {&dense, &lazy}) {
+    nic->set_tick_seconds(0.01);
+    nic->set_id(0);
+    nic->regime_enable(Rng(7));
+    nic->set_regime(ServiceRegime::kAnalytic);
+  }
+  const Tick end = 40;
+  Tick lazy_due = 0;  // every agent runs its first iteration
+  for (Tick t = 0; t < end; ++t) {
+    if (const double w = instant_work_at(t); w > 0.0) {
+      dense.account_instant(w, t);
+      lazy.account_instant(w, t);
+    }
+    if (t % 9 == 4) {  // 7.3 Mb: admitted analytically, done within a tick
+      dense.submit(t + 1, 99, static_cast<std::uint64_t>(t), StageJob{7.3e6, &h, 0});
+      lazy.submit(t + 1, 99, static_cast<std::uint64_t>(t), StageJob{7.3e6, &h, 0});
+    }
+    dense.on_tick(t);
+    dense.on_interactions(t + 1);
+    if (t >= lazy_due) lazy.on_tick(t);
+    lazy.on_interactions(t + 1);
+    lazy_due = lazy.next_wake_tick(t + 1);
+  }
+  EXPECT_EQ(dense.analytic_admitted(), 4u);
+  EXPECT_EQ(lazy.analytic_admitted(), 4u);
+  EXPECT_EQ(dense.take_window_utilization(end), lazy.take_window_utilization(end));
+}
+
+/// Test agent that accounts sub-tick work into one shared station on every
+/// tick, as operation branches do from whichever worker runs them.
+class InstantWriter final : public Agent {
+ public:
+  InstantWriter(Component& station, double scale) : station_(station), scale_(scale) {}
+  void on_tick(Tick now) override {
+    // Integer-valued work: the concurrent sum is exact in any order.
+    station_.account_instant(scale_ * static_cast<double>(1 + now % 5), now);
+  }
+
+ private:
+  Component& station_;
+  double scale_;
+};
+
+double run_three_writers(std::size_t threads, SchedulerMode mode, std::uint64_t* station_runs) {
+  HDispatchEngine engine(threads, /*agent_set_size=*/1);
+  SimulationLoop loop({0.01, 0, mode}, engine);
+  NicComponent station(NicSpec{1e9});
+  station.set_tick_seconds(0.01);
+  loop.add_agent(&station);
+  InstantWriter a(station, 1e5);
+  InstantWriter b(station, 2e5);
+  InstantWriter c(station, 4e5);
+  loop.add_agent(&a);
+  loop.add_agent(&b);
+  loop.add_agent(&c);
+  loop.add_pre_tick_hook([&station](Tick now) {
+    if (now % Component::kInstantSettleEvery == 0) station.settle_instant(now);
+  });
+  const Tick end = 3 * Component::kInstantSlots + 7;  // the ledger wraps three times
+  loop.run_until(end);
+  *station_runs = loop.scheduler_stats().per_agent_runs[station.id()];
+  return station.take_window_utilization(end);
+}
+
+// Exactness (d): three H-Dispatch workers account into one station in the
+// same tick; the station never runs after its first iteration, and its
+// window equals the inline dense sweep's bit for bit.
+TEST(InstantLedger, ThreeWorkersAccountIntoOneStationSameTick) {
+  std::uint64_t dense_runs = 0;
+  std::uint64_t active_runs = 0;
+  const double dense = run_three_writers(0, SchedulerMode::kDenseSweep, &dense_runs);
+  const double active = run_three_writers(3, SchedulerMode::kActiveSet, &active_runs);
+  EXPECT_GT(dense, 0.0);
+  EXPECT_EQ(dense, active);
+  EXPECT_EQ(dense_runs, static_cast<std::uint64_t>(3 * Component::kInstantSlots + 7));
+  EXPECT_EQ(active_runs, 1u);  // the warm-up iteration every agent runs
 }
 
 }  // namespace

@@ -44,6 +44,12 @@ struct DurationCase {
   double light, average, heavy;  // Table 5.1 targets, seconds
 };
 
+// Without this gtest names each case by a byte dump of DurationCase, which
+// includes the address of `op`, so the ctest names would change from run to run.
+void PrintTo(const DurationCase& c, std::ostream* os) {
+  *os << c.op << " light=" << c.light << " average=" << c.average << " heavy=" << c.heavy;
+}
+
 class Table51 : public ::testing::TestWithParam<DurationCase> {};
 
 TEST_P(Table51, CanonicalDurationWithinBand) {

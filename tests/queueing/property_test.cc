@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "core/rng.h"
 #include "queueing/analytic.h"
@@ -19,6 +20,12 @@ struct MmcCase {
   double lambda;
   double mu;
 };
+
+// Without this gtest names each case by a byte dump of MmcCase, which includes
+// its uninitialised padding, so the ctest names would change from run to run.
+void PrintTo(const MmcCase& c, std::ostream* os) {
+  *os << "c=" << c.servers << " lambda=" << c.lambda << " mu=" << c.mu;
+}
 
 class MmcConvergence : public ::testing::TestWithParam<MmcCase> {};
 

@@ -23,10 +23,16 @@
 //                            come from the scenario's `regime` block
 //   --tick-profile PATH      dump per-phase wall-clock buckets as JSON
 //                            (GDISIM_TICK_PROFILE builds only)
+//
+// Numeric values are checked: a malformed or out-of-range one (--threads -1,
+// --hours abc, --scale 0) exits 2 with `FLAG: bad value 'VALUE'`, as does
+// an unknown flag (with the usage text).
 #include <algorithm>
+#include <charconv>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -40,6 +46,13 @@
 using namespace gdisim;
 
 namespace {
+
+// Upper bounds for numeric flags: far beyond any meaningful run, small
+// enough that tick counts and thread pools stay representable.
+constexpr double kMaxHours = 1e6;
+constexpr double kMinScale = std::numeric_limits<double>::min();  // scale must be > 0
+constexpr double kMaxScale = 1e6;
+constexpr std::size_t kMaxThreads = 4096;
 
 struct CliOptions {
   std::string scenario = "consolidated";
@@ -78,6 +91,26 @@ struct CliOptions {
   std::exit(2);
 }
 
+[[noreturn]] void bad_value(const char* argv0, const std::string& flag, const char* value) {
+  std::cerr << argv0 << ": " << flag << ": bad value '" << value << "'\n";
+  std::exit(2);
+}
+
+/// Checked numeric flag values: the whole token must parse and fall inside
+/// [lo, hi]; anything else (empty, trailing text, sign on an unsigned,
+/// out of range, NaN) stops the run with exit 2 instead of running with
+/// garbage.
+template <typename T>
+T parse_number(const char* argv0, const std::string& flag, const char* value, T lo, T hi) {
+  T v{};
+  const char* end = value + std::strlen(value);
+  const auto [ptr, ec] = std::from_chars(value, end, v);
+  if (ec != std::errc{} || ptr != end || !(v >= lo && v <= hi)) {
+    bad_value(argv0, flag, value);
+  }
+  return v;
+}
+
 CliOptions parse(int argc, char** argv) {
   CliOptions opt;
   for (int i = 1; i < argc; ++i) {
@@ -91,21 +124,17 @@ CliOptions parse(int argc, char** argv) {
     } else if (arg == "--config") {
       opt.config_path = next();
     } else if (arg == "--experiment") {
-      opt.experiment = std::atoi(next());
+      opt.experiment = parse_number(argv[0], arg, next(), 1, 3);
     } else if (arg == "--hours") {
-      opt.hours = std::atof(next());
+      opt.hours = parse_number(argv[0], arg, next(), 0.0, kMaxHours);
     } else if (arg == "--scale") {
-      opt.scale = std::atof(next());
+      opt.scale = parse_number(argv[0], arg, next(), kMinScale, kMaxScale);
       opt.scale_set = true;
-      if (!(opt.scale > 0.0)) {
-        std::cerr << argv[0] << ": --scale must be > 0\n";
-        std::exit(2);
-      }
     } else if (arg == "--threads") {
-      opt.threads = static_cast<std::size_t>(std::atoi(next()));
+      opt.threads = parse_number<std::size_t>(argv[0], arg, next(), 0, kMaxThreads);
       opt.threads_set = true;
     } else if (arg == "--seed") {
-      opt.seed = static_cast<std::uint64_t>(std::atoll(next()));
+      opt.seed = parse_number(argv[0], arg, next(), std::uint64_t{0}, ~std::uint64_t{0});
     } else if (arg == "--csv") {
       opt.csv_path = next();
     } else if (arg == "--dense-sweep") {
@@ -119,7 +148,7 @@ CliOptions parse(int argc, char** argv) {
     } else if (arg == "--checkpoint") {
       opt.checkpoint_path = next();
     } else if (arg == "--checkpoint-every") {
-      opt.checkpoint_every_s = std::atof(next());
+      opt.checkpoint_every_s = parse_number(argv[0], arg, next(), 0.0, kMaxHours * 3600.0);
     } else if (arg == "--restore") {
       opt.restore_path = next();
     } else if (arg == "--no-fastpath") {
