@@ -40,8 +40,9 @@
 namespace gdisim {
 
 /// Parses a scenario description. Throws std::invalid_argument on malformed
-/// input; messages use the editor-friendly "<source>:<line>: ..." form and
-/// quote the offending token.
+/// input — unknown directives or names, non-numeric or out-of-range values,
+/// inconsistent structure; messages use the editor-friendly
+/// "<source>:<line>: ..." form and quote the offending token.
 ///
 /// `scale` multiplies the declared population peaks and growth rates
 /// (clamped so every population keeps at least one client). Hardware stays

@@ -19,7 +19,6 @@
 #include "background/synchrep.h"
 #include "config/builder.h"
 #include "metrics/collector.h"
-#include "queueing/service_regime.h"
 #include "software/client.h"
 #include "software/route_cache.h"
 
@@ -49,10 +48,6 @@ struct Scenario {
   /// Population/hardware scale the scenario was built with (1.0 for
   /// unscaled/config-file scenarios unless a loader override was given).
   double scale = 1.0;  // ARCHIVE-TRANSIENT: build-time structure; SnapshotCompat guards shape instead
-
-  /// Service-regime policy (loader `regime` block; default: every station
-  /// discrete). SimulatorConfig::regime_mode overrides the mode only.
-  RegimePolicy regime;  // ARCHIVE-TRANSIENT: construction-time policy; per-station regime state is archived with each component
 
   std::vector<std::unique_ptr<ClientPopulation>> populations;
   std::vector<std::unique_ptr<SeriesLauncher>> launchers;

@@ -45,7 +45,9 @@ class StateArchive {
   /// 2: each component archives its instant-work ledger (folded-through
   /// tick plus pending (tick, work) entries) instead of two tick-parity
   /// buckets.
-  static constexpr std::uint32_t kFormatVersion = 2;
+  /// 3: components no longer carry a service-regime section, and the
+  /// regime controller's timer agent and hysteresis cells are gone.
+  static constexpr std::uint32_t kFormatVersion = 3;
 
   explicit StateArchive(Mode mode) : mode_(mode) {}
 

@@ -24,24 +24,6 @@ GdiSimulator::GdiSimulator(Scenario scenario, SimulatorConfig config)
 
   scenario_.register_with(*loop_);
 
-  // Regime layer: the scenario's policy with an optional CLI mode override.
-  // Forced-discrete construction leaves every component's arrival path on
-  // the reference branch (bit-identical results).
-  RegimePolicy regime_policy = scenario_.regime;
-  if (config_.regime_mode.has_value()) regime_policy.mode = *config_.regime_mode;
-  if (const std::string why = regime_policy_error(regime_policy); !why.empty()) {
-    throw std::invalid_argument("GdiSimulator: " + why);
-  }
-  regime_ = std::make_unique<RegimeController>(regime_policy, *loop_, scenario_.tick_seconds);
-  // Sender-side bypass wiring: only an active regime layer hands the timer
-  // to the software layer. Forced-discrete runs keep ctx->regime_timer() ==
-  // nullptr, so every submit_stage takes the reference path (bit-for-bit
-  // the pre-regime engine); the timer agent itself is still registered so
-  // the snapshot shape is identical across modes.
-  if (regime_->active() && scenario_.ctx != nullptr) {
-    scenario_.ctx->set_regime_timer(regime_->timer());
-  }
-
   // Route memoization (DESIGN.md §10). Built after register_with so the
   // cached instant thresholds see the components' final tick lengths; the
   // route-state listener keeps the table fresh across failure injection and
@@ -100,7 +82,7 @@ void GdiSimulator::run_until_seconds(double seconds) {
 
 void GdiSimulator::checkpoint(const std::string& path) {
   StateArchive ar(StateArchive::Mode::kWrite);
-  archive_simulation(ar, scenario_, *loop_, *collector_, regime_.get());
+  archive_simulation(ar, scenario_, *loop_, *collector_);
   ar.write_to_file(path);
 }
 
@@ -119,7 +101,7 @@ void GdiSimulator::restore(const std::string& path) {
 
 std::vector<std::uint8_t> GdiSimulator::save_state() {
   StateArchive ar(StateArchive::Mode::kWrite);
-  archive_simulation(ar, scenario_, *loop_, *collector_, regime_.get());
+  archive_simulation(ar, scenario_, *loop_, *collector_);
   return ar.payload();
 }
 
@@ -130,7 +112,7 @@ void GdiSimulator::load_state(const std::vector<std::uint8_t>& payload, bool rol
 
 void GdiSimulator::load_archive(StateArchive& ar, bool rollback_on_error) {
   if (!rollback_on_error) {
-    archive_simulation(ar, scenario_, *loop_, *collector_, regime_.get());
+    archive_simulation(ar, scenario_, *loop_, *collector_);
     return;
   }
   // Transactional load: a payload that fails mid-decode (truncated stream,
@@ -139,10 +121,10 @@ void GdiSimulator::load_archive(StateArchive& ar, bool rollback_on_error) {
   // rollback decode cannot fail because this simulator just produced it.
   std::vector<std::uint8_t> backup = save_state();
   try {
-    archive_simulation(ar, scenario_, *loop_, *collector_, regime_.get());
+    archive_simulation(ar, scenario_, *loop_, *collector_);
   } catch (...) {
     StateArchive undo = StateArchive::reader(std::move(backup));
-    archive_simulation(undo, scenario_, *loop_, *collector_, regime_.get());
+    archive_simulation(undo, scenario_, *loop_, *collector_);
     throw;
   }
 }

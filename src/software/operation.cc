@@ -147,39 +147,6 @@ void OperationInstance::start_message(std::size_t branch_idx, Tick now) {
 
 void OperationInstance::submit_stage(std::size_t branch_idx, Tick now) {
   BranchState& br = branches_[branch_idx];
-  if (DelayComponent* timer = ctx_->regime_timer(); timer != nullptr) {
-    // Sender-side analytic bypass (DESIGN.md "Service regimes"): collapse
-    // the maximal run of consecutive stages whose targets are latched
-    // analytic for this epoch into one summed span, sampled here from the
-    // branch RNG — a deterministic stream regardless of thread count — and
-    // park the message on the regime timer for exactly that many ticks.
-    // Bypassed stations never see the jobs (no inbox post, no wake, no
-    // per-tick service); their utilization and arrival statistics are
-    // booked through bypass_admit's order-independent counters.
-    Tick total = 0;
-    std::size_t idx = br.stage_idx;
-    while (idx < br.stages.size()) {
-      const Stage& st = br.stages[idx];
-      const StageJob job{st.work, this, branch_idx, st.parallelism};
-      if (!st.target->bypass_eligible(job)) break;
-      total += st.target->bypass_admit(job, br.rng);
-      ++idx;
-    }
-    if (total > 0) {
-      // Rest the cursor on the last collapsed stage: the timer completion's
-      // ++stage_idx lands on the first non-bypassed stage (or ends the
-      // message), reusing the ordinary completion machinery unchanged.
-      br.stage_idx = idx - 1;
-      const std::uint64_t seq = (params_.instance_serial << 24) |
-                                (static_cast<std::uint64_t>(branch_idx) << 16) | br.local_seq++;
-      // total ticks of delay, exactly: the timer's span rounding
-      // ceil(work / tick) recovers `total` from total - 0.5 ticks of work,
-      // matching the tick the per-station analytic path would complete on.
-      const double span_s = (static_cast<double>(total) - 0.5) * timer->tick_seconds();
-      timer->submit(now + 1, params_.launcher_id, seq, StageJob{span_s, this, branch_idx, 1});
-      return;
-    }
-  }
   const Stage& stage = br.stages[br.stage_idx];
   // Per-branch sequence numbers keep inbox ordering deterministic even when
   // sibling branches post concurrently from different worker threads.

@@ -42,12 +42,6 @@ class OperationContext {
   double instant_fraction() const { return instant_fraction_; }
   void set_instant_fraction(double f) { instant_fraction_ = f; }
 
-  /// Regime-layer timer station for the sender-side analytic bypass
-  /// (DESIGN.md "Service regimes"); nullptr when the regime layer is
-  /// inactive, which compiles submit_stage down to the reference path.
-  DelayComponent* regime_timer() const { return regime_timer_; }
-  void set_regime_timer(DelayComponent* timer) { regime_timer_ = timer; }
-
   /// Route memoization (DESIGN.md §10): when non-null, interned messages
   /// stamp cached templates instead of re-resolving; nullptr keeps every
   /// message on the reference builder. Results are bit-identical either way.
@@ -72,7 +66,6 @@ class OperationContext {
   Topology* topology_;
   DcId master_dc_;
   double instant_fraction_ = 0.25;
-  DelayComponent* regime_timer_ = nullptr;  // NOLINT(gdisim-snapshot-ptr) construction-time wiring
   const RouteCache* route_cache_ = nullptr;  // NOLINT(gdisim-snapshot-ptr) construction-time wiring
 };
 

@@ -114,17 +114,12 @@ class RouteCache {
   /// eager build counts as epoch 1).
   std::uint64_t epoch() const { return epoch_; }
 
-  /// Stamp/build accounting for the microbench and the hit-rate acceptance
-  /// gate. Load+store (not fetch_add) on purpose: these are best-effort
-  /// diagnostics on the per-message hot path, and the unlocked increment is
-  /// what the Inbox serial-mode counters already do; under contention a few
-  /// bumps may be lost, which never affects simulation results.
-  void count_hit() const {
-    hits_.store(hits_.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
-  }
-  void count_miss() const {
-    misses_.store(misses_.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
-  }
+  /// Stamp/build accounting for the microbench, the hit-rate acceptance
+  /// gate and run reports. Exact under any worker count: hits + misses is
+  /// the number of catalog-message route lookups, the same inline or
+  /// threaded.
+  void count_hit() const { hits_.fetch_add(1, std::memory_order_relaxed); }
+  void count_miss() const { misses_.fetch_add(1, std::memory_order_relaxed); }
   std::uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
   std::uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
   double hit_rate() const {

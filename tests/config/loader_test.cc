@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <sstream>
 
 #include "sim/gdisim.h"
@@ -166,7 +167,17 @@ TEST(Loader, FileErrorsCarryThePath) {
 TEST(Loader, RejectsMalformedInput) {
   auto expect_throw = [](const std::string& body) {
     std::istringstream is(body);
-    EXPECT_THROW(load_scenario(is), std::invalid_argument) << body;
+    try {
+      load_scenario(is);
+      ADD_FAILURE() << "expected a loader error for:\n" << body;
+    } catch (const std::invalid_argument& e) {
+      // Located: "<stream>:<line>: ...".
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind("<stream>:", 0), 0u) << what;
+      EXPECT_TRUE(what.size() > 9 && std::isdigit(static_cast<unsigned char>(what[9]))) << what;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "non-loader exception '" << e.what() << "' for:\n" << body;
+    }
   };
   expect_throw("");                                       // no datacenter
   expect_throw("tick 0\ndatacenter A\nend\n");            // bad tick
@@ -179,6 +190,35 @@ TEST(Loader, RejectsMalformedInput) {
       "datacenter A\n tier fs 1 1 1\n san 1 4 15000\nend\npopulation P NOPE CAD 5\nend\n");
   expect_throw(
       "datacenter A\n tier fs 1 1 1\n san 1 4 15000\nend\npopulation P A NOPE 5\nend\n");
+
+  // Found by the mutation driver (loader_mutation_test.cc). Each used to
+  // escape as an unlocated or non-loader exception, allocate without bound,
+  // convert an out-of-range double (undefined behaviour), or load silently.
+  const std::string dc = "datacenter A\n tier fs 1 1 1\n san 1 4 15000\nend\n";
+  const std::string two_dcs = dc + "datacenter B\n tier fs 1 1 1\n san 1 4 15000\nend\n";
+  expect_throw(dc + "link A NOPE 1 10\n");                    // unknown link endpoint
+  expect_throw(two_dcs + "link A B 1 10\nlink B A 1 10\n");  // duplicate link
+  expect_throw(dc + "growth NOPE 100\n");                     // unknown growth dc
+  expect_throw(dc + "synchrep NOPE 900\n");                   // unknown daemon dc
+  expect_throw(dc + "indexbuild NOPE 300\n");
+  expect_throw("master NOPE\n" + dc);                         // unknown master
+  expect_throw("datacenter A\n tier fs 0 1 1\n san 1 4 15000\nend\n");  // empty tier
+  expect_throw("datacenter A\n tier fs 1 1 1\n san 1 0 15000\nend\n");  // no SAN disks
+  expect_throw("datacenter A\n switch 0\n tier fs 1 1 1\n san 1 4 15000\nend\n");
+  expect_throw(two_dcs + "link A B 0 10\n");                  // zero-rate link
+  expect_throw(two_dcs + "link A B 1 -1\n");                  // negative latency
+  expect_throw(dc + "population P A CAD 18446744073709u51616\nend\n");  // huge peak
+  expect_throw(dc + "population P A CAD 1e308\nend\n");
+  expect_throw("datacenter A\n tier fs 1e308 1 1\n san 1 4 15000\nend\n");  // count overflow
+  expect_throw("datacenter A\n tier fs nan 1 1\n san 1 4 15000\nend\n");
+  expect_throw("seed -1\n" + dc);                             // seed out of range
+  expect_throw("seed 18446744073709551616\n" + dc);
+  expect_throw("seed nan\n" + dc);
+  expect_throw("tick nan\n" + dc);                            // used to load a NaN tick
+  expect_throw("tick 1e308\n" + dc);
+  expect_throw("datacenter A\n tier fs 2x 1 1\n san 1 4 15000\nend\n");  // trailing text
+  // The service-regime block no longer exists.
+  expect_throw(dc + "regime auto\nend\n");
 }
 
 TEST(Loader, BackupLinksAreUnusable) {
@@ -200,71 +240,6 @@ backup_link A B 0.5 20
 
 TEST(Loader, FileNotFound) {
   EXPECT_THROW(load_scenario_file("/nonexistent/path.gdisim"), std::invalid_argument);
-}
-
-TEST(Loader, RegimeBlockRoundTrips) {
-  std::istringstream is(sample_without_bad_backup() + R"(
-regime auto
-  epoch 4
-  enter 0.25 3
-  exit 0.6
-  hysteresis 5
-  cooldown 12
-end
-)");
-  Scenario s = load_scenario(is);
-  EXPECT_EQ(s.regime.mode, RegimeMode::kAuto);
-  EXPECT_DOUBLE_EQ(s.regime.epoch_seconds, 4.0);
-  EXPECT_DOUBLE_EQ(s.regime.enter_utilization, 0.25);
-  EXPECT_EQ(s.regime.enter_max_queue, 3u);
-  EXPECT_DOUBLE_EQ(s.regime.exit_utilization, 0.6);
-  EXPECT_EQ(s.regime.hysteresis_epochs, 5u);
-  EXPECT_EQ(s.regime.guard_cooldown_epochs, 12u);
-}
-
-TEST(Loader, RegimeDefaultsToDiscreteAndBareBlockKeepsDefaults) {
-  {
-    std::istringstream is(sample_without_bad_backup());
-    Scenario s = load_scenario(is);
-    EXPECT_EQ(s.regime.mode, RegimeMode::kDiscrete);
-  }
-  {
-    std::istringstream is(sample_without_bad_backup() + "\nregime analytic\nend\n");
-    Scenario s = load_scenario(is);
-    EXPECT_EQ(s.regime.mode, RegimeMode::kAnalytic);
-    const RegimePolicy defaults;
-    EXPECT_DOUBLE_EQ(s.regime.epoch_seconds, defaults.epoch_seconds);
-    EXPECT_DOUBLE_EQ(s.regime.enter_utilization, defaults.enter_utilization);
-    EXPECT_DOUBLE_EQ(s.regime.exit_utilization, defaults.exit_utilization);
-  }
-}
-
-TEST(Loader, RegimeErrorsCarryLineNumbers) {
-  struct Case {
-    const char* block;
-    const char* want;  // substring the message must contain
-  };
-  const Case cases[] = {
-      {"regime sometimes\nend\n", "unknown regime mode 'sometimes'"},
-      {"regime auto\n  tempo 2\nend\n", "unknown regime directive 'tempo'"},
-      {"regime auto\n  epoch -1\nend\n", "regime epoch must be positive"},
-      {"regime auto\n  enter 0.8 2\n  exit 0.5\nend\n", "exit utilization"},
-      {"regime auto\n  hysteresis 0\nend\n", "hysteresis"},
-      {"regime auto\n  epoch 2\n", "not closed"},
-  };
-  for (const Case& c : cases) {
-    std::istringstream is(sample_without_bad_backup() + "\n" + c.block);
-    try {
-      load_scenario(is, "sample.gdisim");
-      FAIL() << "expected throw for: " << c.block;
-    } catch (const std::invalid_argument& e) {
-      const std::string what = e.what();
-      EXPECT_NE(what.find(c.want), std::string::npos)
-          << "message '" << what << "' lacks '" << c.want << "'";
-      EXPECT_NE(what.find("sample.gdisim:"), std::string::npos)
-          << "message '" << what << "' lacks a file:line prefix";
-    }
-  }
 }
 
 TEST(Loader, SampleConfigFileParses) {

@@ -4,6 +4,7 @@
 
 #include "core/engine.h"
 #include "core/h_dispatch.h"
+#include "core/rng.h"
 #include "core/sim_loop.h"
 #include "hardware/cpu.h"
 #include "hardware/delay.h"
@@ -13,6 +14,7 @@
 #include "hardware/network_switch.h"
 #include "hardware/raid.h"
 #include "hardware/san.h"
+#include "queueing/analytic.h"
 
 namespace gdisim {
 namespace {
@@ -118,6 +120,48 @@ TEST(NicComponent, ServesBitsAtLineRate) {
   harness.run(4);
   ASSERT_EQ(h.completions.size(), 1u);
   EXPECT_EQ(h.completions[0].now, 2);
+}
+
+// The NIC's FCFS discipline under Poisson arrivals and exponential demands
+// converges to the M/M/1 closed form: a 1e9 b/s line with 1e7-bit mean
+// messages (mu = 100/s) at lambda = 40/s gives E[T] = 1/(mu - lambda).
+TEST(NicComponent, DiscreteQueueMatchesMm1ResponseTime) {
+  const double dt = 0.001, lambda = 40.0, mu = 100.0;
+  const std::size_t jobs = 4000, warmup = 500;
+  Rng arrivals(1234);
+  Rng demands(5678);
+  std::vector<Tick> arrive_tick(jobs);
+  std::vector<double> work(jobs);
+  double t = 0.0;
+  for (std::size_t i = 0; i < jobs; ++i) {
+    t += arrivals.next_exponential(1.0 / lambda);
+    arrive_tick[i] = static_cast<Tick>(t / dt) + 1;
+    work[i] = demands.next_exponential(1e7);
+  }
+
+  NicComponent nic(NicSpec{1e9});
+  ComponentHarness h(nic, dt);
+  RecordingHandler rec;
+  std::size_t next = 0;
+  while (rec.completions.size() < jobs && h.now() < 100000000) {
+    while (next < jobs && arrive_tick[next] == h.now() + 1) {
+      h.submit(work[next], &rec, next);
+      ++next;
+    }
+    h.step();
+  }
+  ASSERT_EQ(rec.completions.size(), jobs);
+
+  double sum = 0.0;
+  std::size_t counted = 0;
+  for (const auto& r : rec.completions) {
+    if (r.tag < warmup) continue;
+    sum += static_cast<double>(r.now - arrive_tick[r.tag]) * dt;
+    ++counted;
+  }
+  const double mean = sum / static_cast<double>(counted);
+  const double oracle = analytic::mm1_mean_response_time(lambda, mu);
+  EXPECT_NEAR(mean, oracle, 0.15 * oracle);
 }
 
 TEST(SwitchComponent, FasterThanNic) {
@@ -385,43 +429,6 @@ TEST(InstantLedger, SettleFoldsOnlyTicksBeforeItsBound) {
   EXPECT_FALSE(nic.instant_pending());
   nic.settle_instant(5);
   EXPECT_EQ(nic.take_window_utilization(10), 0.5 / 10.0);
-}
-
-// An analytic admission books its whole job into the window during the
-// interaction phase; pending instant work from earlier ticks must be folded
-// first, or the window sums the same terms in another order than a station
-// that ran every tick. The lazy driver runs the station only when its
-// next_wake_tick answer says so, as the active-set scheduler does.
-TEST(InstantLedger, AnalyticAdmissionFoldsEarlierTicksFirst) {
-  NicComponent dense(NicSpec{1e9});
-  NicComponent lazy(NicSpec{1e9});
-  RecordingHandler h;
-  for (NicComponent* nic : {&dense, &lazy}) {
-    nic->set_tick_seconds(0.01);
-    nic->set_id(0);
-    nic->regime_enable(Rng(7));
-    nic->set_regime(ServiceRegime::kAnalytic);
-  }
-  const Tick end = 40;
-  Tick lazy_due = 0;  // every agent runs its first iteration
-  for (Tick t = 0; t < end; ++t) {
-    if (const double w = instant_work_at(t); w > 0.0) {
-      dense.account_instant(w, t);
-      lazy.account_instant(w, t);
-    }
-    if (t % 9 == 4) {  // 7.3 Mb: admitted analytically, done within a tick
-      dense.submit(t + 1, 99, static_cast<std::uint64_t>(t), StageJob{7.3e6, &h, 0});
-      lazy.submit(t + 1, 99, static_cast<std::uint64_t>(t), StageJob{7.3e6, &h, 0});
-    }
-    dense.on_tick(t);
-    dense.on_interactions(t + 1);
-    if (t >= lazy_due) lazy.on_tick(t);
-    lazy.on_interactions(t + 1);
-    lazy_due = lazy.next_wake_tick(t + 1);
-  }
-  EXPECT_EQ(dense.analytic_admitted(), 4u);
-  EXPECT_EQ(lazy.analytic_admitted(), 4u);
-  EXPECT_EQ(dense.take_window_utilization(end), lazy.take_window_utilization(end));
 }
 
 /// Test agent that accounts sub-tick work into one shared station on every

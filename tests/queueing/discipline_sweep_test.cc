@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "core/rng.h"
 #include "queueing/fcfs_queue.h"
@@ -21,6 +22,12 @@ struct FcfsCase {
   double rate;
   double dt;
 };
+
+// Without this gtest names each case by a byte dump of FcfsCase, padding
+// included, so the ctest names would depend on uninitialised bytes.
+void PrintTo(const FcfsCase& c, std::ostream* os) {
+  *os << "servers=" << c.servers << " rate=" << c.rate << " dt=" << c.dt;
+}
 
 class FcfsSweep : public ::testing::TestWithParam<FcfsCase> {};
 
@@ -74,6 +81,10 @@ struct PsCase {
   std::size_t k;
   double latency;
 };
+
+void PrintTo(const PsCase& c, std::ostream* os) {
+  *os << "k=" << c.k << " latency=" << c.latency;
+}
 
 class PsSweep : public ::testing::TestWithParam<PsCase> {};
 

@@ -427,6 +427,23 @@ TEST(ArchiveCorruption, RestoreDiagnosticsNameFileAndByteOffset) {
   }
   EXPECT_DOUBLE_EQ(sim->now_seconds(), 10.0);  // pre-restore state survives
 
+  // A file from another format version is rejected at the version field
+  // (bytes 8-11, after the magic), before any state is touched.
+  sim->checkpoint(path);
+  {
+    std::fstream io(path, std::ios::binary | std::ios::in | std::ios::out);
+    const char old_version[4] = {2, 0, 0, 0};
+    io.seekp(8);
+    io.write(old_version, sizeof(old_version));
+  }
+  try {
+    sim->restore(path);
+    FAIL() << "expected throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()), path + ":byte 8: format version 2, this build reads 3");
+  }
+  EXPECT_DOUBLE_EQ(sim->now_seconds(), 10.0);
+
   // A well-formed file whose payload fails mid-decode gains the same prefix,
   // with the stream cursor as the offset.
   {

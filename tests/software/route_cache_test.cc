@@ -8,11 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
+#include <vector>
 
 #include "config/scenarios.h"
 #include "resilience/failure.h"
@@ -84,6 +87,47 @@ TEST(RouteCacheInvalidation, FailureRepairMidRunBitIdentical) {
   // never observe a torn table and the hit rate stays above the gate.
   EXPECT_GE(cache->hit_rate(), 0.95);
   EXPECT_GT(cache->valid_template_count(), 0u);
+}
+
+/// Workers stamping routes bump the same two counters concurrently; no
+/// increment may be lost.
+TEST(RouteCacheCounters, ConcurrentBumpsAreExact) {
+  auto sim = make_consolidated(/*cached=*/true);
+  const RouteCache& cache = *sim->scenario().route_cache;
+  constexpr std::uint64_t kPerThread = 1000000;
+  std::atomic<int> ready{0};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < 3; ++t) {
+    workers.emplace_back([&cache, &ready, t] {
+      ready.fetch_add(1);
+      while (ready.load() < 3) std::this_thread::yield();  // start together
+      for (std::uint64_t i = 0; i < kPerThread; ++i) {
+        if (t == 0) {
+          cache.count_miss();
+        } else {
+          cache.count_hit();
+        }
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+  EXPECT_EQ(cache.hits(), 2 * kPerThread);
+  EXPECT_EQ(cache.misses(), kPerThread);
+}
+
+/// The same lookups happen inline and on three workers, so the counts match.
+TEST(RouteCacheCounters, ThreadedLookupsEqualInline) {
+  const double horizon_s = 1800.0;
+  auto inline_sim = make_consolidated(/*cached=*/true, /*threads=*/0);
+  auto threaded_sim = make_consolidated(/*cached=*/true, /*threads=*/3);
+  inline_sim->run_until_seconds(horizon_s);
+  threaded_sim->run_until_seconds(horizon_s);
+  const RouteCache& a = *inline_sim->scenario().route_cache;
+  const RouteCache& b = *threaded_sim->scenario().route_cache;
+  ASSERT_GT(a.hits(), 0u);
+  EXPECT_EQ(a.hits(), b.hits());
+  EXPECT_EQ(a.misses(), b.misses());
+  EXPECT_EQ(result_fingerprint(*inline_sim), result_fingerprint(*threaded_sim));
 }
 
 TEST(RouteCacheInvalidation, UncachedRunHasNoCache) {

@@ -18,9 +18,6 @@
 //   --restore PATH           start from a snapshot instead of t=0 (the
 //                            scenario must be structurally identical;
 //                            --hours remains the absolute horizon)
-//   --regime discrete|analytic|auto   override the scenario's service-regime
-//                            mode (--regime=MODE also accepted); thresholds
-//                            come from the scenario's `regime` block
 //   --tick-profile PATH      dump per-phase wall-clock buckets as JSON
 //                            (GDISIM_TICK_PROFILE builds only)
 //
@@ -33,7 +30,6 @@
 #include <fstream>
 #include <iostream>
 #include <limits>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -72,7 +68,6 @@ struct CliOptions {
   std::string checkpoint_path;
   double checkpoint_every_s = 0.0;
   std::string restore_path;
-  std::optional<RegimeMode> regime;
   bool route_cache = true;
   bool inbox_batch = true;
   bool wake_coalesce = true;
@@ -85,7 +80,6 @@ struct CliOptions {
                "       [--experiment N] [--hours H] [--scale S] [--threads N] [--seed N]\n"
                "       [--csv PATH] [--dense-sweep] [--quiet] [--fingerprint] [--validate]\n"
                "       [--checkpoint PATH] [--checkpoint-every S] [--restore PATH]\n"
-               "       [--regime discrete|analytic|auto]\n"
                "       [--no-fastpath] [--no-route-cache] [--no-inbox-batch]\n"
                "       [--no-wake-coalesce] [--tick-profile PATH]\n";
   std::exit(2);
@@ -169,14 +163,6 @@ CliOptions parse(int argc, char** argv) {
         std::cerr << argv[0]
                   << ": --tick-profile needs a GDISIM_TICK_PROFILE build "
                      "(cmake -DGDISIM_TICK_PROFILE=ON)\n";
-        std::exit(2);
-      }
-    } else if (arg == "--regime" || arg.rfind("--regime=", 0) == 0) {
-      const std::string value = arg == "--regime" ? next() : arg.substr(9);
-      opt.regime = parse_regime_mode(value);
-      if (!opt.regime.has_value()) {
-        std::cerr << argv[0] << ": --regime must be discrete|analytic|auto, got '" << value
-                  << "'\n";
         std::exit(2);
       }
     } else {
@@ -307,7 +293,6 @@ int main(int argc, char** argv) {
   cfg.threads = opt.threads;
   cfg.collect_every_s = opt.scenario == "validation" ? 6.0 : 30.0;
   if (opt.dense_sweep) cfg.scheduler = SchedulerMode::kDenseSweep;
-  cfg.regime_mode = opt.regime;
   cfg.route_cache = opt.route_cache;
   cfg.inbox_batch = opt.inbox_batch;
   cfg.wake_coalesce = opt.wake_coalesce;
@@ -353,15 +338,6 @@ int main(int argc, char** argv) {
               << " stamped (hit rate " << TableReport::fmt(100.0 * rc->hit_rate())
               << "%), rebuilds " << rc->epoch() << "\n";
   }
-  {
-    const RegimeController::Stats rs = sim.regime().stats();
-    std::cout << "regime: " << regime_mode_name(sim.regime().policy().mode) << ", analytic "
-              << rs.analytic_now << "/" << rs.eligible << " stations, transitions +"
-              << rs.to_analytic << "/-" << rs.to_discrete << ", guard trips " << rs.guard_trips
-              << ", analytic jobs " << rs.analytic_served << "/" << rs.analytic_admitted
-              << " served (" << rs.analytic_inflight << " in flight, " << rs.bypassed_stages
-              << " stages sender-bypassed)\n";
-  }
   if (!opt.quiet && sim.loop().scheduler_mode() == SchedulerMode::kActiveSet) {
     std::vector<AgentId> order(sched.per_agent_runs.size());
     for (AgentId i = 0; i < order.size(); ++i) order[i] = i;
@@ -397,9 +373,6 @@ int main(int argc, char** argv) {
       if (r.spawned[c] == 0) continue;
       std::cout << " " << audit::category_name(cat) << "=" << r.completed[c] << "/"
                 << r.spawned[c];
-    }
-    if (r.regime_to_analytic != 0 || r.regime_to_discrete != 0) {
-      std::cout << " regime_switches=+" << r.regime_to_analytic << "/-" << r.regime_to_discrete;
     }
     std::cout << "\n";
   }
