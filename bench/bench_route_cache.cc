@@ -1,6 +1,7 @@
 // Route memoization microbench (DESIGN.md §10 "Per-message fast path").
 //
-// Runs the consolidated scenario twice — route cache on, then off — and
+// Runs the consolidated scenario twice — route cache wired, then unwired
+// from the operation context so every message builds its route — and
 // reports the cache hit rate, the template population, and the per-route
 // build-vs-stamp cost implied by the wall-clock difference. Both runs must
 // produce the same fingerprint: the cache is an encoding of the reference
@@ -29,15 +30,15 @@ RunResult run_once(double hours, double scale, bool cached) {
   SimulatorConfig cfg;
   cfg.collect_every_s = 60.0;
   cfg.threads = bench::bench_threads();
-  cfg.route_cache = cached;
   GdiSimulator sim(std::move(scenario), cfg);
+  if (!cached) sim.scenario().ctx->set_route_cache(nullptr);
 
   bench::Stopwatch sw;
   sim.run_for(hours * 3600.0);
   RunResult r;
   r.wall_seconds = sw.seconds();
   r.fingerprint = result_fingerprint(sim);
-  if (const RouteCache* rc = sim.scenario().route_cache.get()) {
+  if (const RouteCache* rc = sim.scenario().ctx->route_cache()) {
     r.hits = rc->hits();
     r.misses = rc->misses();
     r.templates = rc->template_count();

@@ -2,6 +2,7 @@
 // (agent set = 64), plus an ablation over agent-set sizes (the thesis notes
 // 64 delivered the best results).
 #include <atomic>
+#include <thread>
 
 #include "bench_scenario_scalability.h"
 #include "bench_util.h"

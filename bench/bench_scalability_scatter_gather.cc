@@ -4,6 +4,7 @@
 // handler and pushing it through the dispatcher queue cancels the parallel
 // speedup, exactly as the thesis reports.
 #include <atomic>
+#include <thread>
 
 #include "bench_scenario_scalability.h"
 #include "bench_util.h"

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
-#include <thread>
 #include <iostream>
 #include <string>
 #include <utility>
@@ -49,9 +48,9 @@ inline bool fast_mode() {
 inline std::size_t bench_threads() {
   const char* v = std::getenv("GDISIM_BENCH_THREADS");
   if (v != nullptr) return static_cast<std::size_t>(std::atoi(v));
-  // Default to the host's spare parallelism; 0 => run phases inline.
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 1 ? hw - 1 : 0;
+  // Default to the inline engine (0 workers): on a 4-core host three
+  // H-Dispatch workers made the 24 h day ~3x slower than inline.
+  return 0;
 }
 
 /// Machine-readable bench results: an ordered flat map of string/number

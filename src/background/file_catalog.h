@@ -34,7 +34,7 @@ struct BackgroundRunRecord {
     ar.f64(total_mb);
     auto rw_legs = [&ar](std::vector<std::pair<DcId, double>>& legs) {
       std::size_t n = legs.size();
-      ar.size_value(n);
+      ar.count(n);
       if (ar.reading()) legs.resize(n);
       for (auto& [dc, mb] : legs) {
         ar.u32(dc);
@@ -61,7 +61,7 @@ class FreshnessLedger {
   void archive_state(StateArchive& ar) {
     ar.section("ledger");
     std::size_t n = runs_.size();
-    ar.size_value(n);
+    ar.count(n);
     if (ar.reading()) runs_.resize(n);
     for (BackgroundRunRecord& rec : runs_) rec.archive_state(ar);
   }

@@ -18,7 +18,6 @@ IndexBuildDaemon::IndexBuildDaemon(IndexBuildConfig config, const DataGrowthMode
 
 void IndexBuildDaemon::on_tick(Tick now) {
   if (running_ || now < next_launch_) return;
-  GDISIM_TICK_PROF_SCOPE(tickprof::Bucket::kBackground);
 
   const double now_hour = clock().to_seconds(now) / 3600.0;
   const double from_hour = cover_from_hour_;

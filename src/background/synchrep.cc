@@ -24,7 +24,6 @@ void SynchRepDaemon::on_run_complete(const BackgroundRunRecord& record, Tick end
 
 void SynchRepDaemon::on_tick(Tick now) {
   if (now < next_launch_) return;
-  GDISIM_TICK_PROF_SCOPE(tickprof::Bucket::kBackground);
   next_launch_ = now + interval_ticks_;
 
   const double now_hour = clock().to_seconds(now) / 3600.0;

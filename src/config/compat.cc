@@ -76,7 +76,7 @@ std::string SnapshotCompat::diff(const SnapshotCompat& saved, const SnapshotComp
 void SnapshotCompat::archive_state(StateArchive& ar) {
   ar.section("compat");
   std::size_t n = lines.size();
-  ar.size_value(n);
+  ar.count(n);
   if (ar.reading()) lines.resize(n);
   for (std::string& line : lines) ar.str(line);
   // The digest travels alongside the lines as a quick header-level identity;

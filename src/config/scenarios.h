@@ -36,8 +36,10 @@ struct Scenario {
   std::unique_ptr<Topology> topology;
   std::unique_ptr<OperationContext> ctx;  // ARCHIVE-TRANSIENT: stateless routing wiring built with the scenario
   std::unique_ptr<OperationCatalog> catalog;  // ARCHIVE-TRANSIENT: immutable operation specs built with the scenario
-  /// Route memoization (DESIGN.md §10); constructed by GdiSimulator when
-  /// SimulatorConfig::route_cache is on, null otherwise. Derived state only:
+  /// Route memoization (DESIGN.md §10); constructed by GdiSimulator for
+  /// every scenario with a catalog and a topology. Routes are built per
+  /// message when the context has no cache wired (ctx->set_route_cache
+  /// (nullptr) gives that reference path). Derived state only:
   /// snapshot restore rebuilds it through the topology's route-state
   /// listeners, so it is never archived.
   std::unique_ptr<RouteCache> route_cache;  // ARCHIVE-TRANSIENT: derived cache; rebuilt via route-state listeners on restore

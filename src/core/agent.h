@@ -27,7 +27,6 @@
 
 #include "core/archive.h"
 #include "core/audit.h"
-#include "core/tick_profiler.h"
 #include "core/types.h"
 
 namespace gdisim {
@@ -307,7 +306,6 @@ class Inbox {
   /// shard. Cost is proportional to the number of *destinations* posted to,
   /// not the number of deliveries.
   static void flush_deferred_all() {
-    GDISIM_TICK_PROF_SCOPE(tickprof::Bucket::kInbox);
     DeferredRegistry& reg = deferred_registry();
     reg.lock.lock();
     for (const auto& list : reg.lists) {
@@ -327,9 +325,6 @@ class Inbox {
     // Fast path: agents poll their inbox every active tick; most polls find
     // it empty, and touching 8 locks 200M times would dominate the profile.
     if (approx_size_.load(std::memory_order_acquire) == 0) return;
-    // Scoped after the empty-poll exit so the bucket counts drains that
-    // actually move mail, not 200M no-op polls.
-    GDISIM_TICK_PROF_SCOPE(tickprof::Bucket::kInbox);
     for (Shard& s : shards_) {
       // Per-shard count: posts land on the sender's own shard, so most
       // drains only need the one or two shards that actually have mail.
@@ -428,7 +423,7 @@ class Inbox {
         return a.seq < b.seq;
       });
       std::size_t n = all.size();
-      ar.size_value(n);
+      ar.count(n);
       for (Delivery<T>& d : all) {
         ar.i64(d.visible_at);
         ar.u32(d.sender);
@@ -443,7 +438,7 @@ class Inbox {
         s.count.store(0, std::memory_order_release);
       }
       std::size_t n = 0;
-      ar.size_value(n);
+      ar.count(n);
       Shard& s0 = shards_[0];
       s0.pending.reserve(n);
       for (std::size_t i = 0; i < n; ++i) {

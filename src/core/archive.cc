@@ -96,12 +96,12 @@ void StateArchive::boolean(bool& v) {
 }
 
 void StateArchive::str(std::string& v) {
-  auto n = static_cast<std::uint64_t>(v.size());
-  u64(n);
+  std::size_t n = v.size();
+  count(n);
   if (writing()) {
     put(reinterpret_cast<const std::uint8_t*>(v.data()), v.size());
   } else {
-    v.resize(static_cast<std::size_t>(n));
+    v.resize(n);
     if (n > 0) get(reinterpret_cast<std::uint8_t*>(v.data()), v.size());
   }
 }
@@ -110,6 +110,15 @@ void StateArchive::size_value(std::size_t& v) {
   auto n = static_cast<std::uint64_t>(v);
   u64(n);
   v = static_cast<std::size_t>(n);
+}
+
+void StateArchive::count(std::size_t& n) {
+  size_value(n);
+  if (reading() && n > buf_.size() - cursor_) {
+    throw std::runtime_error("snapshot corrupt: element count " + std::to_string(n) +
+                             " exceeds the " + std::to_string(buf_.size() - cursor_) +
+                             " unread byte(s)");
+  }
 }
 
 void StateArchive::section(const char* name) {

@@ -67,6 +67,11 @@ class StateArchive {
   void str(std::string& v);
   /// std::size_t helper (encoded as u64).
   void size_value(std::size_t& v);
+  /// Element count of a container whose elements follow (encoded as u64).
+  /// On read, a count above the unread payload bytes is rejected (every
+  /// element takes at least one byte), so a corrupt count fails here
+  /// instead of sizing a container without bound.
+  void count(std::size_t& n);
 
   /// Stream marker. On write, records `name`; on read, verifies the next
   /// marker matches and throws std::runtime_error naming both sides if not.
@@ -78,6 +83,17 @@ class StateArchive {
   void expect_equal(const T& v, const T& expected, const char* what) {
     if (reading() && !(v == expected)) {
       throw std::runtime_error(std::string("snapshot mismatch: ") + what);
+    }
+  }
+
+  /// On read: require `v < bound` (an index into a live structure, e.g. a
+  /// step of an operation's cascade). Message names the field.
+  template <typename T>
+  void expect_below(const T& v, const T& bound, const char* what) {
+    if (reading() && !(v < bound)) {
+      throw std::runtime_error(std::string("snapshot corrupt: ") + what + " " +
+                               std::to_string(v) + " out of range (limit " +
+                               std::to_string(bound) + ")");
     }
   }
 

@@ -4,9 +4,11 @@
 // to a port are paired with the port's registered receiver by the arbiter
 // and submitted to a dispatcher as work items ("active messages").
 //
-// Receivers are registered through the coordination primitives in
-// coordination.h (single-item, multiple-item, join, choice, interleave);
-// this header provides the raw port and the arbiter hook they build upon.
+// The thesis lists five CCR-style receivers (single-item, multiple-item,
+// join, choice, interleave). The Scatter-Gather baseline of Table 4.1 needs
+// only SingleItemReceiver, so that is the one kept. Its handlers execute as
+// dispatcher work items: they run on a pool thread's stack and must not
+// block.
 #pragma once
 
 #include <deque>
@@ -22,7 +24,7 @@ namespace gdisim {
 
 namespace detail {
 
-/// Type-erased receiver hook installed on a port by a coordination primitive.
+/// Type-erased receiver hook installed on a port by a receiver.
 /// `on_post` is invoked (under the port lock released) after each message is
 /// enqueued; the receiver decides whether to consume messages and schedule
 /// handler work items.
@@ -62,7 +64,7 @@ class Port {
     return front;
   }
 
-  /// Takes up to `n` messages at once (used by multiple-item receivers).
+  /// Takes up to `n` messages at once.
   std::deque<T> take_up_to(std::size_t n) {
     std::lock_guard<std::mutex> lock(mu_);
     std::deque<T> out;
@@ -94,6 +96,39 @@ class Port {
   mutable std::mutex mu_;
   std::deque<T> queue_;
   std::shared_ptr<detail::ReceiverHook> hook_;
+};
+
+/// Fires `handler` for every message posted to `port`. Persistent until the
+/// returned registration object is destroyed.
+template <typename T>
+class SingleItemReceiver : public detail::ReceiverHook,
+                           public std::enable_shared_from_this<SingleItemReceiver<T>> {
+ public:
+  using Handler = std::function<void(T)>;
+
+  static std::shared_ptr<SingleItemReceiver> attach(Port<T>& port, Dispatcher& dispatcher,
+                                                    Handler handler) {
+    auto r = std::shared_ptr<SingleItemReceiver>(
+        new SingleItemReceiver(port, dispatcher, std::move(handler)));
+    port.attach(r);
+    return r;
+  }
+
+  void on_post() override {
+    // Drain greedily: each waiting message becomes one work item.
+    while (auto msg = port_.try_take()) {
+      auto self = this->shared_from_this();
+      dispatcher_.post([self, m = std::move(*msg)]() mutable { self->handler_(std::move(m)); });
+    }
+  }
+
+ private:
+  SingleItemReceiver(Port<T>& port, Dispatcher& dispatcher, Handler handler)
+      : port_(port), dispatcher_(dispatcher), handler_(std::move(handler)) {}
+
+  Port<T>& port_;
+  Dispatcher& dispatcher_;
+  Handler handler_;
 };
 
 }  // namespace gdisim

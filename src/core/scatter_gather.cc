@@ -6,7 +6,6 @@
 #include <mutex>
 #include <vector>
 
-#include "core/coordination.h"
 #include "core/port.h"
 
 namespace gdisim {

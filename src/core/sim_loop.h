@@ -129,8 +129,9 @@ class SimulationLoop : public AgentWakeScheduler {
   void set_engine(ExecutionEngine& engine) { engine_ = &engine; }
 
   /// Batched-post window hooks (DESIGN.md §10 "Inbox post batching"),
-  /// installed by the simulator when batching is on. The loop brackets its
-  /// agent phases with them: `begin` opens the window before the tick phase,
+  /// installed by the simulator. Cleared (all null), every post settles its
+  /// bookkeeping at once: the unbatched reference path. The loop brackets
+  /// its agent phases with them: `begin` opens the window before the tick phase,
   /// `flush` settles deferred inbox bookkeeping at the tick/interaction
   /// barrier, `end` flushes and closes the window after the interaction
   /// phase — before the wake re-queries and the collection callback, so the

@@ -34,7 +34,6 @@
 
 #include "core/agent.h"
 #include "core/audit.h"
-#include "core/tick_profiler.h"
 #include "core/types.h"
 #include "queueing/job.h"
 
@@ -99,13 +98,13 @@ void archive_stagejob_queue(StateArchive& ar, HandlerRegistry& reg, Queue& queue
     std::vector<StageJob*> order;
     queue.for_each_ctx([&order](JobCtx ctx) { order.push_back(static_cast<StageJob*>(ctx)); });
     std::size_t n = order.size();
-    ar.size_value(n);
+    ar.count(n);
     for (StageJob* job : order) archive_stage_job(ar, reg, *job);
     std::uint64_t next = 0;
     queue.archive_state(ar, [&next](JobCtx) { return next++; }, {});
   } else {
     std::size_t n = 0;
-    ar.size_value(n);
+    ar.count(n);
     std::vector<JobCtx> loaded;
     loaded.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -143,7 +142,6 @@ class Component : public Agent {
   void on_engine_serial(bool serial) override { inbox_.set_serial(serial); }
 
   void on_tick(Tick now) final {
-    GDISIM_TICK_PROF_SCOPE(tickprof::Bucket::kQueueing);
     settle_instant(now);
     // This tick's own sub-tick work, accounted during tick now - 1. Writers
     // running concurrently with this tick target slot now + 1.

@@ -73,8 +73,11 @@ void CpuComponent::archive_discipline(StateArchive& ar, HandlerRegistry& reg) {
     }
   } else {
     std::vector<PendingJob*> loaded;
+    // Indices are first-encounter order, so a new job is exactly the next
+    // one; a larger index can only come from a corrupt stream.
     const JobCtxDecoder dec = [&](std::uint64_t idx) -> JobCtx {
-      while (loaded.size() <= idx) loaded.push_back(pool_.create(PendingJob{}));
+      ar.expect_below(idx, std::uint64_t{loaded.size() + 1}, "cpu pending-job index");
+      if (idx == loaded.size()) loaded.push_back(pool_.create(PendingJob{}));
       return loaded[idx];
     };
     for (auto& socket : sockets_) socket.archive_state(ar, {}, dec);

@@ -80,7 +80,7 @@ class DelayComponent final : public Component {
   void archive_discipline(StateArchive& ar, HandlerRegistry& reg) override {
     ar.section("delay");
     std::size_t n = work_.size();
-    ar.size_value(n);
+    ar.count(n);
     if (ar.reading()) {
       work_.assign(n, 0.0);
       rest_.assign(n, StageJob{});

@@ -138,14 +138,14 @@ void SanComponent::archive_discipline(StateArchive& ar, HandlerRegistry& reg) {
     for (auto& q : hdd_) q.for_each_ctx([&](JobCtx ctx) { note_branch(static_cast<BranchJob*>(ctx)); });
 
     std::size_t nj = job_order.size();
-    ar.size_value(nj);
+    ar.count(nj);
     for (SanJob* job : job_order) {
       archive_stage_job(ar, reg, job->stage);
       std::uint32_t outstanding = job->outstanding;
       ar.u32(outstanding);
     }
     std::size_t nb = branch_order.size();
-    ar.size_value(nb);
+    ar.count(nb);
     for (BranchJob* branch : branch_order) {
       std::uint64_t parent = job_index.at(branch->parent);
       ar.u64(parent);
@@ -163,7 +163,7 @@ void SanComponent::archive_discipline(StateArchive& ar, HandlerRegistry& reg) {
     for (auto& q : hdd_) q.archive_state(ar, enc_branch, {});
   } else {
     std::size_t nj = 0;
-    ar.size_value(nj);
+    ar.count(nj);
     std::vector<SanJob*> jobs;
     jobs.reserve(nj);
     for (std::size_t i = 0; i < nj; ++i) {
@@ -175,7 +175,7 @@ void SanComponent::archive_discipline(StateArchive& ar, HandlerRegistry& reg) {
       GDISIM_AUDIT_JOB_SPAWNED(audit::Category::kSanJob);
     }
     std::size_t nb = 0;
-    ar.size_value(nb);
+    ar.count(nb);
     std::vector<BranchJob*> branches;
     branches.reserve(nb);
     for (std::size_t i = 0; i < nb; ++i) {

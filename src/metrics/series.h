@@ -48,7 +48,7 @@ class TimeSeries {
   void archive_state(StateArchive& ar) {
     ar.section("series");
     std::size_t n = samples_.size();
-    ar.size_value(n);
+    ar.count(n);
     if (ar.reading()) samples_.resize(n);
     for (Sample& s : samples_) {
       ar.f64(s.t_seconds);

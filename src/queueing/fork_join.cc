@@ -78,8 +78,11 @@ void ForkJoinQueue::archive_state(StateArchive& ar, const JobCtxEncoder& enc,
     }
   } else {
     std::vector<JoinState*> loaded;
+    // Indices are first-encounter order, so a new join is exactly the next
+    // one; a larger index can only come from a corrupt stream.
     const JobCtxDecoder branch_dec = [&](std::uint64_t idx) -> JobCtx {
-      while (loaded.size() <= idx) {
+      ar.expect_below(idx, std::uint64_t{loaded.size() + 1}, "fork-join index");
+      if (idx == loaded.size()) {
         loaded.push_back(joins_.create(JoinState{0, nullptr}));
         GDISIM_AUDIT_JOB_SPAWNED(audit::Category::kForkJoinJob);
       }

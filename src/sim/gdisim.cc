@@ -29,8 +29,7 @@ GdiSimulator::GdiSimulator(Scenario scenario, SimulatorConfig config)
   // route-state listener keeps the table fresh across failure injection and
   // snapshot restores (both funnel through Topology::compute_routes or
   // Tier::set_server_alive).
-  if (config_.route_cache && scenario_.ctx != nullptr && scenario_.catalog != nullptr &&
-      scenario_.topology != nullptr) {
+  if (scenario_.ctx != nullptr && scenario_.catalog != nullptr && scenario_.topology != nullptr) {
     scenario_.route_cache = std::make_unique<RouteCache>(
         *scenario_.topology, *scenario_.catalog, scenario_.master_dc,
         scenario_.ctx->instant_fraction());
@@ -40,24 +39,15 @@ GdiSimulator::GdiSimulator(Scenario scenario, SimulatorConfig config)
   // Inbox post batching (DESIGN.md §10): the loop opens a post window around
   // its agent phases; Component::submit defers the per-post occupancy/wake
   // bookkeeping, and the barrier flush settles it once per touched inbox
-  // shard. The window flag only toggles inside this loop's step(), so A/B
-  // runs in one process (--no-inbox-batch) never leak into each other.
-  if (config_.inbox_batch) {
-    loop_->set_post_batch_hooks([] { PostBatchWindow::set_open(true); },
-                                [] { Inbox<StageJob>::flush_deferred_all(); },
-                                [] {
-                                  Inbox<StageJob>::flush_deferred_all();
-                                  PostBatchWindow::set_open(false);
-                                });
-  }
-
-  // Population wake coalescing (DESIGN.md §10): quiet scan boundaries are
-  // skipped; every launch still happens at the boundary the per-boundary
-  // reference scan would have used. SeriesLauncher is already event-driven
-  // (it sleeps to its own next_launch_), so only populations opt in.
-  if (config_.wake_coalesce) {
-    for (auto& p : scenario_.populations) p->set_wake_coalescing(true);
-  }
+  // shard. The window flag only toggles inside this loop's step(), so a
+  // second simulator in the same process whose hooks were cleared (the
+  // unbatched reference path the equivalence tests run) never sees it open.
+  loop_->set_post_batch_hooks([] { PostBatchWindow::set_open(true); },
+                              [] { Inbox<StageJob>::flush_deferred_all(); },
+                              [] {
+                                Inbox<StageJob>::flush_deferred_all();
+                                PostBatchWindow::set_open(false);
+                              });
 
   collector_ = std::make_unique<Collector>(scenario_.tick_seconds);
   install_standard_probes(*collector_, scenario_);

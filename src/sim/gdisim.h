@@ -31,12 +31,6 @@ struct SimulatorConfig {
   /// Active-set scheduling by default; kDenseSweep is the A/B oracle
   /// (DESIGN.md "Scheduler").
   SchedulerMode scheduler = SchedulerMode::kActiveSet;
-  /// Per-message fast path (DESIGN.md §10). All three legs are bit-identical
-  /// to their reference paths; the flags exist for the equivalence suite and
-  /// for bisecting regressions, not as accuracy knobs.
-  bool route_cache = true;    ///< memoized route templates for catalog messages
-  bool inbox_batch = true;    ///< batch same-destination posts per agent phase
-  bool wake_coalesce = true;  ///< client populations skip empty scan wakes
 };
 
 class GdiSimulator {

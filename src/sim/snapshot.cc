@@ -52,7 +52,9 @@ void archive_simulation(StateArchive& ar, Scenario& scenario, SimulationLoop& lo
   // so they are pre-bound here, keyed by their server's CPU agent.
   HandlerRegistry reg;
   SimulationLoop* loop_p = &loop;
-  reg.set_agent_resolver([loop_p](AgentId id) { return loop_p->agent(id); });
+  reg.set_agent_resolver([loop_p](AgentId id) {
+    return id < loop_p->agent_count() ? loop_p->agent(id) : nullptr;
+  });
   Topology& topo = *scenario.topology;
   for_each_server(topo,
                   [&reg](Server& server) { reg.bind_memory(server.cpu().id(), &server.memory()); });

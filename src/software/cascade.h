@@ -122,16 +122,16 @@ inline void archive_cascade_spec(StateArchive& ar, CascadeSpec& spec) {
   ar.str(spec.name);
   if (ar.reading()) spec.name_hash = stable_hash(spec.name);
   std::size_t nsteps = spec.steps.size();
-  ar.size_value(nsteps);
+  ar.count(nsteps);
   if (ar.reading()) spec.steps.resize(nsteps);
   for (Step& step : spec.steps) {
     ar.u32(step.repeat);
     std::size_t nbranches = step.branches.size();
-    ar.size_value(nbranches);
+    ar.count(nbranches);
     if (ar.reading()) step.branches.resize(nbranches);
     for (Sequence& seq : step.branches) {
       std::size_t nmsgs = seq.messages.size();
-      ar.size_value(nmsgs);
+      ar.count(nmsgs);
       if (ar.reading()) seq.messages.resize(nmsgs);
       for (MessageSpec& m : seq.messages) {
         archive_endpoint(ar, m.from);

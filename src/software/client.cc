@@ -165,7 +165,6 @@ std::size_t ClientPopulation::waterline_at(Tick boundary) const {
 }
 
 Tick ClientPopulation::coalesced_wake_tick(Tick next_now) const {
-  GDISIM_TICK_PROF_SCOPE(tickprof::Bucket::kWake);
   // First grid boundary at which a scan may run: the grid is anchored at
   // tick 0 (the first scan happens at tick 0 and every rearm lands back on a
   // multiple of scan_every_), so both candidates below stay on it.
@@ -244,7 +243,7 @@ void ClientPopulation::on_tick(Tick now) {
   // (a completion delivery arriving mid-nap) must not scan, because the
   // reference loop only ever scans at grid ticks — an off-grid scan would
   // shift launch decisions and the waterline sampling points.
-  if (coalesce_ && now % scan_every_ != 0) return;
+  if (now % scan_every_ != 0) return;
   next_scan_ = now + scan_every_;
   logged_in_ = waterline_at(now);
 

@@ -191,23 +191,17 @@ class ClientPopulation final : public Agent {
   void on_tick(Tick now) override;
   void on_interactions(Tick now) override;
 
-  /// Sleeps until the next launch-scan boundary; operation completions post
-  /// to the inbox, which wakes the population immediately. With wake
-  /// coalescing (DESIGN.md §10) the population instead sleeps to the first
-  /// boundary where a scan can actually do something: the grid-rounded head
-  /// of the think heap, or the first boundary where the workload curve rises
-  /// above the lowest parked slot. Quiet boundaries are skipped entirely;
-  /// every launch still happens at exactly the boundary the per-boundary
-  /// reference scan would have used.
+  /// Operation completions post to the inbox, which wakes the population
+  /// immediately. Otherwise it sleeps (wake coalescing, DESIGN.md §10) to the
+  /// first launch-scan boundary where a scan can actually do something: the
+  /// grid-rounded head of the think heap, or the first boundary where the
+  /// workload curve rises above the lowest parked slot. Quiet boundaries are
+  /// skipped entirely; every launch still happens at exactly the boundary a
+  /// scan at every boundary would have used.
   Tick next_wake_tick(Tick next_now) const override {
     if (!completions_.empty()) return next_now;
-    if (!coalesce_) return std::max(next_scan_, next_now);
     return std::max(coalesced_wake_tick(next_now), next_now);
   }
-
-  /// Enables coalesced scan wakes (SimulatorConfig::wake_coalesce). Off by
-  /// default: directly-constructed populations keep the reference cadence.
-  void set_wake_coalescing(bool on) { coalesce_ = on; }
 
   void on_engine_serial(bool serial) override { completions_.set_serial(serial); }
 
@@ -289,7 +283,6 @@ class ClientPopulation final : public Agent {
   std::vector<Slot> slots_;
   Tick scan_every_ = 1;  // ARCHIVE-TRANSIENT: derived from config at construction
   Tick next_scan_ = 0;
-  bool coalesce_ = false;  // ARCHIVE-TRANSIENT: scheduler wiring set by the simulator, never affects results
   Tick coalesce_recheck_ticks_ = 1;  // ARCHIVE-TRANSIENT: derived from config at construction
   // Memoized parked-rise search (coalesced wakes). next_wake_tick is const
   // but runs only on the worker that owns this agent's phase slot (or the

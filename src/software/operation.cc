@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "core/audit.h"
-#include "core/tick_profiler.h"
 #include "software/route_cache.h"
 
 namespace gdisim {
@@ -197,6 +196,7 @@ void OperationInstance::archive_state(StateArchive& ar, HandlerRegistry& reg) {
   ar.section("op_instance");
   ar.i64(start_tick_);
   ar.size_value(step_idx_);
+  ar.expect_below(step_idx_, spec_->steps.size() + 1, "cascade step");
   std::uint32_t repeats = repeats_left_;
   ar.u32(repeats);
   repeats_left_ = repeats;
@@ -209,13 +209,12 @@ void OperationInstance::archive_state(StateArchive& ar, HandlerRegistry& reg) {
   // already balanced by a completion before the snapshot, so it is not
   // re-counted on read.
   const bool finished = step_idx_ >= spec_->steps.size();
-  std::size_t nb = finished ? 0 : spec_->steps[step_idx_].branches.size();
+  const std::size_t want_nb = finished ? 0 : spec_->steps[step_idx_].branches.size();
+  std::size_t nb = want_nb;
   ar.size_value(nb);
+  ar.expect_equal(nb, want_nb, "cascade branch count");
   if (ar.reading()) {
-    if (!finished) {
-      ar.expect_equal(nb, spec_->steps[step_idx_].branches.size(), "cascade branch count");
-      GDISIM_AUDIT_JOB_SPAWNED(audit::Category::kOperation);
-    }
+    if (!finished) GDISIM_AUDIT_JOB_SPAWNED(audit::Category::kOperation);
     // Exact-size the branch vector (it only ever grows during a run) so a
     // re-snapshot of the restored instance is byte-identical.
     branches_.resize(nb);
@@ -224,6 +223,7 @@ void OperationInstance::archive_state(StateArchive& ar, HandlerRegistry& reg) {
     BranchState& br = branches_[b];
     if (ar.reading()) br.sequence = &spec_->steps[step_idx_].branches[b];
     ar.size_value(br.msg_idx);
+    ar.expect_below(br.msg_idx, br.sequence->messages.size() + 1, "branch message");
     ar.size_value(br.stage_idx);
     ar.u32(br.local_seq);
     bool holds_memory = br.held_memory != nullptr;
@@ -238,13 +238,19 @@ void OperationInstance::archive_state(StateArchive& ar, HandlerRegistry& reg) {
     ar.f64(br.held_bytes);
     br.rng.archive_state(ar);
     std::size_t nstages = br.stages.size();
-    ar.size_value(nstages);
+    ar.count(nstages);
     if (ar.reading()) br.stages.resize(nstages);
     for (std::size_t s = 0; s < nstages; ++s) {
       Stage& stage = br.stages[s];
       AgentId target = ar.writing() ? stage.target->id() : kInvalidAgent;
       ar.u32(target);
-      if (ar.reading()) stage.target = static_cast<Component*>(reg.resolve_agent(target));
+      if (ar.reading()) {
+        stage.target = dynamic_cast<Component*>(reg.resolve_agent(target));
+        if (stage.target == nullptr) {
+          throw std::runtime_error("snapshot corrupt: stage target " + std::to_string(target) +
+                                   " is not a hardware component");
+        }
+      }
       ar.f64(stage.work);
       std::uint32_t parallelism = stage.parallelism;
       ar.u32(parallelism);
@@ -254,7 +260,6 @@ void OperationInstance::archive_state(StateArchive& ar, HandlerRegistry& reg) {
 }
 
 void OperationInstance::build_route(const MessageSpec& m, BranchState& br, Tick now) {
-  GDISIM_TICK_PROF_SCOPE(tickprof::Bucket::kRouteBuild);
   if (const RouteCache* rc = ctx_->route_cache(); rc != nullptr && m.route_key != 0) {
     if (const RouteCacheTemplate* t =
             rc->lookup(m.route_key, params_.origin_dc, params_.owner_dc)) {

@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "core/agent.h"
-#include "core/coordination.h"
+#include "core/port.h"
 #include "core/engine.h"
 
 namespace gdisim {

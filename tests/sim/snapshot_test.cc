@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -399,6 +400,128 @@ TEST(ArchiveCorruption, BitFlipRollsBack) {
       EXPECT_EQ(sim->save_state(), snap) << "flip at " << off;
     }
   }
+}
+
+// Offsets just past the label of every `name` section frame.
+std::vector<std::size_t> section_bodies(const std::vector<std::uint8_t>& p,
+                                        const std::string& name) {
+  std::vector<std::size_t> bodies;
+  for (const std::size_t s : section_starts(p)) {
+    if (p[s + 4] == name.size() &&
+        std::memcmp(p.data() + s + 12, name.data(), name.size()) == 0) {
+      bodies.push_back(s + 12 + name.size());
+    }
+  }
+  return bodies;
+}
+
+std::uint64_t get_u64(const std::vector<std::uint8_t>& p, std::size_t at) {
+  std::uint64_t v = 0;
+  for (int k = 0; k < 8; ++k) v |= static_cast<std::uint64_t>(p[at + k]) << (8 * k);
+  return v;
+}
+
+/// Copy of `p` with the `width`-byte little-endian field at `at` set to `v`.
+std::vector<std::uint8_t> patched(std::vector<std::uint8_t> p, std::size_t at, std::uint64_t v,
+                                  int width = 8) {
+  for (int k = 0; k < width; ++k) p[at + k] = static_cast<std::uint8_t>(v >> (8 * k));
+  return p;
+}
+
+/// Offset of the first branch's stage count in an "op_instance" frame
+/// (OperationInstance::archive_state: start tick, step index, repeats,
+/// outstanding, branch count, then msg_idx, stage_idx, local_seq, the
+/// held-memory flag (+ key), held bytes and the 32-byte rng), or 0 when
+/// the instance has no live branch. The stage target ids follow the count.
+std::size_t first_stage_count(const std::vector<std::uint8_t>& p, std::size_t body) {
+  if (get_u64(p, body + 24) == 0) return 0;
+  const std::size_t held_flag = body + 32 + 8 + 8 + 4;
+  return held_flag + 1 + (p[held_flag] != 0 ? 4 : 0) + 8 + 32;
+}
+
+/// The mini scenario 45 s in, its payload, and the rejection check.
+struct MidRun {
+  MidRun() : sim(make_mini()) {
+    sim->run_until_seconds(45.0);
+    snap = sim->save_state();
+  }
+  void expect_rejected(const std::vector<std::uint8_t>& bad, const std::string& what) {
+    EXPECT_THROW(sim->load_state(bad), std::runtime_error) << what;
+    EXPECT_EQ(sim->save_state(), snap) << what;
+  }
+  std::unique_ptr<GdiSimulator> sim;
+  std::vector<std::uint8_t> snap;
+};
+
+// Decoder bugs the restore mutation driver (restore_mutation_test.cc)
+// found, each pinned: a step index past the end of the cascade indexed the
+// spec out of range, a huge element count sized a container before any
+// element was read, a stage target id was used without checking that it
+// names a hardware component, and a CPU job index far past the jobs seen
+// so far allocated pool entries up to it (gigabytes). Each corrupt payload
+// must now fail with a runtime_error and roll back.
+TEST(ArchiveCorruption, StepPastCascadeEndRollsBack) {
+  MidRun m;
+  const auto ops = section_bodies(m.snap, "op_instance");
+  ASSERT_FALSE(ops.empty());
+  for (const std::size_t body : ops) {
+    m.expect_rejected(patched(m.snap, body + 8, std::uint64_t{1} << 40),
+                      "op at " + std::to_string(body));
+  }
+}
+
+TEST(ArchiveCorruption, HugeElementCountRollsBack) {
+  MidRun m;
+  // A section label's length prefix (StateArchive::str) and an operation
+  // branch's stage count.
+  std::vector<std::size_t> counts = {section_starts(m.snap).at(5) + 4};
+  for (const std::size_t body : section_bodies(m.snap, "op_instance")) {
+    if (const std::size_t at = first_stage_count(m.snap, body)) {
+      counts.push_back(at);
+      break;
+    }
+  }
+  ASSERT_EQ(counts.size(), 2u);
+  for (const std::size_t at : counts) {
+    for (const std::uint64_t n : {~std::uint64_t{0} - 7, std::uint64_t{m.snap.size()}}) {
+      m.expect_rejected(patched(m.snap, at, n),
+                        "count " + std::to_string(n) + " at " + std::to_string(at));
+    }
+  }
+}
+
+TEST(ArchiveCorruption, StageTargetMustBeAComponent) {
+  MidRun m;
+  std::size_t target = 0;
+  for (const std::size_t body : section_bodies(m.snap, "op_instance")) {
+    const std::size_t at = first_stage_count(m.snap, body);
+    if (at != 0 && get_u64(m.snap, at) > 0) {
+      target = at + 8;
+      break;
+    }
+  }
+  ASSERT_NE(target, 0u);
+  const AgentId population = m.sim->scenario().populations.front()->id();
+  for (const AgentId id : {population, AgentId{0xFFFFFFF0u}}) {
+    m.expect_rejected(patched(m.snap, target, id, 4), "target " + std::to_string(id));
+  }
+}
+
+TEST(ArchiveCorruption, CpuJobIndexSkippingAheadRollsBack) {
+  MidRun m;
+  // The job index of the first queued job in a CPU socket queue: an "fcfs"
+  // frame right after a "cpu" frame, with its in-service count (u64) then
+  // (remaining, job index, seq) per job.
+  const auto cpus = section_bodies(m.snap, "cpu");
+  for (const std::size_t fcfs : section_bodies(m.snap, "fcfs")) {
+    const bool in_cpu = std::any_of(cpus.begin(), cpus.end(),
+                                    [fcfs](std::size_t c) { return c < fcfs && fcfs - c < 64; });
+    if (in_cpu && get_u64(m.snap, fcfs) > 0) {
+      m.expect_rejected(patched(m.snap, fcfs + 16, std::uint64_t{1} << 40), "cpu job index");
+      return;
+    }
+  }
+  FAIL() << "no queued CPU job in the snapshot";
 }
 
 TEST(ArchiveCorruption, RestoreDiagnosticsNameFileAndByteOffset) {

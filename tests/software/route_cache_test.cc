@@ -1,9 +1,9 @@
 // Route memoization (DESIGN.md §10): the cache must be invisible in results
-// — bit-identical fingerprints with the cache on and off, including across
-// mid-run topology mutations (link failure/repair, server liveness) that
-// force epoch invalidations — and invisible in snapshots: the table is
-// ARCHIVE-TRANSIENT, so checkpoints taken with the cache on restore cleanly
-// into simulators running with it off, and vice versa.
+// — bit-identical fingerprints with the cache wired and unwired, including
+// across mid-run topology mutations (link failure/repair, server liveness)
+// that force epoch invalidations — and invisible in snapshots: the table is
+// ARCHIVE-TRANSIENT, so checkpoints taken with the cache wired restore
+// cleanly into simulators whose context builds every route, and vice versa.
 #include "software/route_cache.h"
 
 #include <gtest/gtest.h>
@@ -25,14 +25,17 @@
 namespace gdisim {
 namespace {
 
+/// `cached = false` unwires the cache from the operation context, so every
+/// message builds its route (the reference path).
 std::unique_ptr<GdiSimulator> make_consolidated(bool cached, std::size_t threads = 0) {
   GlobalOptions opt;
   opt.scale = 0.02;
   Scenario s = make_consolidated_scenario(opt);
   SimulatorConfig cfg;
   cfg.threads = threads;
-  cfg.route_cache = cached;
-  return std::make_unique<GdiSimulator>(std::move(s), cfg);
+  auto sim = std::make_unique<GdiSimulator>(std::move(s), cfg);
+  if (!cached) sim->scenario().ctx->set_route_cache(nullptr);
+  return sim;
 }
 
 /// The mid-run mutation schedule shared by the equivalence runs: fail the
@@ -130,11 +133,6 @@ TEST(RouteCacheCounters, ThreadedLookupsEqualInline) {
   EXPECT_EQ(result_fingerprint(*inline_sim), result_fingerprint(*threaded_sim));
 }
 
-TEST(RouteCacheInvalidation, UncachedRunHasNoCache) {
-  auto sim = make_consolidated(/*cached=*/false);
-  EXPECT_EQ(sim->scenario().route_cache.get(), nullptr);
-}
-
 /// Checkpoint/restore with the cache on both sides: the restored run must
 /// reproduce the uninterrupted fingerprint, and the restored cache must be
 /// freshly rebuilt (restore funnels through compute_routes).
@@ -159,9 +157,9 @@ TEST(RouteCacheSnapshot, RoundTripMatchesUninterrupted) {
   std::remove(snap.c_str());
 }
 
-/// The cache is ARCHIVE-TRANSIENT: a snapshot saved with it on restores into
-/// a simulator running without it (and vice versa) with the same result, so
-/// no cache state can have leaked into the archive.
+/// The cache is ARCHIVE-TRANSIENT: a snapshot saved with it wired restores
+/// into a simulator with it unwired (and vice versa) with the same result,
+/// so no cache state can have leaked into the archive.
 TEST(RouteCacheSnapshot, TransientAcrossCacheConfigurations) {
   const double t1 = 600.0, t2 = 1200.0;
   auto whole = make_consolidated(/*cached=*/false);

@@ -24,16 +24,12 @@
 #            the uninterrupted run's fingerprint (release and audit binaries)
 #   sanitize-snapshot  the snapshot/archive test suite (round trips,
 #            corruption rollback, restore equivalence) and the config-loader
-#            mutation driver under ASan+UBSan and standalone UBSan builds
+#            and snapshot-restore mutation drivers under ASan+UBSan and
+#            standalone UBSan builds
 #   perf-smoke  bench_scale_frontier + bench_route_cache in fast mode with a
 #            tiny tick budget; fails when a bench exits nonzero or its JSON
 #            is missing, malformed, or lacks the required fields (for
 #            bench_route_cache: hit rate >= 0.95 and matching fingerprints)
-#   fastpath per-message fast path equivalence (DESIGN.md §10): fingerprints
-#            with the route cache / inbox batching / wake coalescing enabled,
-#            disabled together (--no-fastpath) and disabled one at a time
-#            must be bit-identical across thread counts and scheduler modes,
-#            on both the release and audit binaries
 #   release/audit/asan/ubsan/tsan   CMake presets: configure + build + ctest
 #
 # Sanitizer suites run the full tier-1 ctest set; on small hosts expect the
@@ -44,7 +40,7 @@ cd "$(dirname "$0")/.."
 
 LEGS=("$@")
 if [ ${#LEGS[@]} -eq 0 ]; then
-  LEGS=(lint archive-coverage isolation release audit smoke fastpath perf-smoke snapshot sanitize-snapshot asan tsan)
+  LEGS=(lint archive-coverage isolation release audit smoke perf-smoke snapshot sanitize-snapshot asan tsan)
 fi
 
 JOBS="${JOBS:-$(nproc)}"
@@ -250,44 +246,6 @@ print(f"perf-smoke: route-cache JSON ok (hit rate {data['hit_rate']:.4f})")
 EOF
 }
 
-fastpath_check() {
-  local preset="$1" bin="$2"
-  local args="${FASTPATH_ARGS:---scenario consolidated --hours 1 --scale 0.05}"
-  echo "--- [$preset] fast path on/off fingerprint equivalence ---"
-  local base
-  # shellcheck disable=SC2086
-  base=$("$bin" $args --threads 1 --quiet --fingerprint | grep '^fingerprint:')
-  echo "  fast path on, -j1:      $base"
-  local variant fp
-  for variant in \
-      "--no-fastpath --threads 1" \
-      "--no-route-cache --threads 1" \
-      "--no-inbox-batch --threads $SMOKE_THREADS" \
-      "--no-wake-coalesce --threads $SMOKE_THREADS" \
-      "--threads $SMOKE_THREADS" \
-      "--no-fastpath --threads $SMOKE_THREADS --dense-sweep"; do
-    # shellcheck disable=SC2086
-    fp=$("$bin" $args $variant --quiet --fingerprint | grep '^fingerprint:')
-    echo "  $variant: $fp"
-    if [ "$base" != "$fp" ]; then
-      echo "fastpath[$preset]: FINGERPRINT MISMATCH with '$variant' — the fast path changed results" >&2
-      return 1
-    fi
-  done
-}
-
-run_fastpath() {
-  echo "=== [fastpath] per-message fast path equivalence ==="
-  local preset
-  for preset in release audit; do
-    cmake --preset "$preset" >/dev/null
-    cmake --build --preset "$preset" -j "$JOBS" --target gdisim_run >/dev/null
-  done
-  fastpath_check release build/tools/gdisim_run
-  fastpath_check audit build-audit/tools/gdisim_run
-  echo "fastpath: fingerprints identical with the fast path on, off, and per-leg disabled"
-}
-
 run_tsan() {
   run_preset tsan
   # Pin the serial<->parallel transition chain under -fsanitize=thread even
@@ -300,14 +258,14 @@ run_tsan() {
 }
 
 run_sanitize_snapshot() {
-  echo "=== [sanitize-snapshot] snapshot suite + loader mutation under ASan+UBSan and UBSan ==="
+  echo "=== [sanitize-snapshot] snapshot suite + loader/restore mutation under ASan+UBSan and UBSan ==="
   local preset
   for preset in asan ubsan; do
     cmake --preset "$preset" >/dev/null
     cmake --build --preset "$preset" -j "$JOBS"
-    echo "--- [$preset] snapshot/archive and loader mutation tests ---"
+    echo "--- [$preset] snapshot/archive, loader and restore mutation tests ---"
     ctest --preset "$preset" -j "$JOBS" \
-        -R 'Snapshot|StateArchive|ArchiveCorruption|LoaderMutation'
+        -R 'Snapshot|StateArchive|ArchiveCorruption|LoaderMutation|RestoreMutation'
   done
   echo "sanitize-snapshot: snapshot suite clean under both sanitizer builds"
 }
@@ -319,7 +277,6 @@ for leg in "${LEGS[@]}"; do
     isolation) run_isolation ;;
     tidy) run_tidy ;;
     smoke) run_smoke ;;
-    fastpath) run_fastpath ;;
     snapshot) run_snapshot ;;
     perf-smoke) run_perf_smoke ;;
     sanitize-snapshot) run_sanitize_snapshot ;;

@@ -4,22 +4,22 @@
 //
 // Options:
 //   --scenario validation|consolidated|multimaster   (default consolidated)
+//   --config FILE            load a scenario file instead (default scale 1.0)
 //   --experiment 1|2|3       validation series frequencies (default 1)
 //   --hours H                simulated horizon (default 24; validation: 0.65)
 //   --scale S                population/hardware scale (default 0.1)
-//   --threads N              worker threads (default: cores - 1)
+//   --threads N              H-Dispatch worker threads (default 0: inline)
 //   --seed N                 run seed (default 42)
 //   --csv PATH               dump every collector series as CSV
 //   --dense-sweep            disable active-set scheduling (reference oracle)
 //   --quiet                  suppress the summary tables
+//   --fingerprint            print a 64-bit digest of all results
 //   --validate               parse + build the scenario, report, and exit
 //   --checkpoint PATH        write a snapshot at the end of the run
 //   --checkpoint-every S     also snapshot every S simulated seconds
 //   --restore PATH           start from a snapshot instead of t=0 (the
 //                            scenario must be structurally identical;
 //                            --hours remains the absolute horizon)
-//   --tick-profile PATH      dump per-phase wall-clock buckets as JSON
-//                            (GDISIM_TICK_PROFILE builds only)
 //
 // Numeric values are checked: a malformed or out-of-range one (--threads -1,
 // --hours abc, --scale 0) exits 2 with `FLAG: bad value 'VALUE'`, as does
@@ -35,7 +35,6 @@
 
 #include "config/loader.h"
 #include "core/audit.h"
-#include "core/tick_profiler.h"
 #include "sim/fingerprint.h"
 #include "sim/gdisim.h"
 
@@ -58,7 +57,6 @@ struct CliOptions {
   double scale = 0.10;
   bool scale_set = false;
   std::size_t threads = 0;
-  bool threads_set = false;
   std::uint64_t seed = 42;
   std::string csv_path;
   bool dense_sweep = false;
@@ -68,10 +66,6 @@ struct CliOptions {
   std::string checkpoint_path;
   double checkpoint_every_s = 0.0;
   std::string restore_path;
-  bool route_cache = true;
-  bool inbox_batch = true;
-  bool wake_coalesce = true;
-  std::string tick_profile_path;
 };
 
 [[noreturn]] void usage(const char* argv0) {
@@ -79,9 +73,7 @@ struct CliOptions {
             << " [--scenario validation|consolidated|multimaster | --config FILE]\n"
                "       [--experiment N] [--hours H] [--scale S] [--threads N] [--seed N]\n"
                "       [--csv PATH] [--dense-sweep] [--quiet] [--fingerprint] [--validate]\n"
-               "       [--checkpoint PATH] [--checkpoint-every S] [--restore PATH]\n"
-               "       [--no-fastpath] [--no-route-cache] [--no-inbox-batch]\n"
-               "       [--no-wake-coalesce] [--tick-profile PATH]\n";
+               "       [--checkpoint PATH] [--checkpoint-every S] [--restore PATH]\n";
   std::exit(2);
 }
 
@@ -126,7 +118,6 @@ CliOptions parse(int argc, char** argv) {
       opt.scale_set = true;
     } else if (arg == "--threads") {
       opt.threads = parse_number<std::size_t>(argv[0], arg, next(), 0, kMaxThreads);
-      opt.threads_set = true;
     } else if (arg == "--seed") {
       opt.seed = parse_number(argv[0], arg, next(), std::uint64_t{0}, ~std::uint64_t{0});
     } else if (arg == "--csv") {
@@ -145,26 +136,6 @@ CliOptions parse(int argc, char** argv) {
       opt.checkpoint_every_s = parse_number(argv[0], arg, next(), 0.0, kMaxHours * 3600.0);
     } else if (arg == "--restore") {
       opt.restore_path = next();
-    } else if (arg == "--no-fastpath") {
-      // Equivalence-suite switch: the entire per-message fast path off at
-      // once (DESIGN.md §10); results must be bit-identical either way.
-      opt.route_cache = false;
-      opt.inbox_batch = false;
-      opt.wake_coalesce = false;
-    } else if (arg == "--no-route-cache") {
-      opt.route_cache = false;
-    } else if (arg == "--no-inbox-batch") {
-      opt.inbox_batch = false;
-    } else if (arg == "--no-wake-coalesce") {
-      opt.wake_coalesce = false;
-    } else if (arg == "--tick-profile") {
-      opt.tick_profile_path = next();
-      if (!tickprof::kEnabled) {
-        std::cerr << argv[0]
-                  << ": --tick-profile needs a GDISIM_TICK_PROFILE build "
-                     "(cmake -DGDISIM_TICK_PROFILE=ON)\n";
-        std::exit(2);
-      }
     } else {
       usage(argv[0]);
     }
@@ -172,10 +143,6 @@ CliOptions parse(int argc, char** argv) {
   if (opt.config_path.empty() && opt.scenario != "validation" &&
       opt.scenario != "consolidated" && opt.scenario != "multimaster") {
     usage(argv[0]);
-  }
-  if (!opt.threads_set) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    opt.threads = hw > 1 ? hw - 1 : 0;
   }
   if (opt.hours < 0) opt.hours = opt.scenario == "validation" ? 38.0 / 60.0 : 24.0;
   if (!opt.config_path.empty() && !opt.scale_set) opt.scale = 1.0;
@@ -293,9 +260,6 @@ int main(int argc, char** argv) {
   cfg.threads = opt.threads;
   cfg.collect_every_s = opt.scenario == "validation" ? 6.0 : 30.0;
   if (opt.dense_sweep) cfg.scheduler = SchedulerMode::kDenseSweep;
-  cfg.route_cache = opt.route_cache;
-  cfg.inbox_batch = opt.inbox_batch;
-  cfg.wake_coalesce = opt.wake_coalesce;
   GdiSimulator sim(std::move(scenario), cfg);
 
   if (!opt.restore_path.empty()) {
@@ -377,15 +341,6 @@ int main(int argc, char** argv) {
     std::cout << "\n";
   }
 #endif
-
-  if (!opt.tick_profile_path.empty()) {
-    if (tickprof::dump_json(opt.tick_profile_path)) {
-      std::cout << "wrote tick profile to " << opt.tick_profile_path << "\n";
-    } else {
-      std::cerr << "cannot open " << opt.tick_profile_path << "\n";
-      return 1;
-    }
-  }
 
   if (!opt.csv_path.empty()) {
     std::ofstream out(opt.csv_path);

@@ -81,11 +81,11 @@ RULES = {
     },
 }
 
-# Stream-advancing primitives. expect_equal is deliberately absent: it is a
-# read-side validation that consumes no bytes, so it may legitimately appear
-# on only one path.
+# Stream-advancing primitives. expect_equal and expect_below are deliberately
+# absent: they are read-side validations that consume no bytes, so they may
+# legitimately appear on only one path.
 ARCHIVE_PRIMS = ("u8", "u32", "u64", "i64", "f64", "boolean", "str",
-                 "size_value", "section")
+                 "size_value", "count", "section")
 
 _TRANSIENT = re.compile(r"ARCHIVE-TRANSIENT(?!\w)(?:\s*:\s*(\S[^\n]*?))?\s*(?:\*/)?\s*$")
 
