@@ -81,6 +81,15 @@ void job_completed(Category c) {
   }
 }
 
+void jobs_discarded(Category c, std::uint64_t n) {
+  State& s = state();
+  const unsigned i = static_cast<unsigned>(c);
+  const std::uint64_t done = s.completed[i].fetch_add(n, std::memory_order_relaxed) + n;
+  if (done > s.spawned[i].load(std::memory_order_relaxed)) {
+    fail("job conservation: discarded more jobs than were in flight");
+  }
+}
+
 void check(bool ok, const char* what) {
   if (!ok) fail(what);
 }

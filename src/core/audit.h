@@ -90,6 +90,11 @@ void job_spawned(Category c);
 /// Fails if the category would have more completions than spawns
 /// (double-complete / completion of a job that was never spawned).
 void job_completed(Category c);
+/// Retires `n` in-flight jobs that a snapshot load discards. The decoder
+/// replays the spawns of the checkpoint's own jobs, so the jobs they replace
+/// must leave the ledger too, or spawned = completed + live stops holding
+/// after a load into a simulator that had jobs in flight.
+void jobs_discarded(Category c, std::uint64_t n);
 
 void check(bool ok, const char* what);
 void check_nonneg(double value, const char* what);
@@ -115,6 +120,7 @@ inline void fail(const char*) {}
 inline FailureHandler set_failure_handler(FailureHandler) { return nullptr; }
 inline void job_spawned(Category) {}
 inline void job_completed(Category) {}
+inline void jobs_discarded(Category, std::uint64_t) {}
 inline void check(bool, const char*) {}
 inline void check_nonneg(double, const char*) {}
 inline void fold_drain(std::uint64_t) {}
@@ -132,6 +138,7 @@ inline void reset() {}
 #if GDISIM_AUDIT_ENABLED
 #define GDISIM_AUDIT_JOB_SPAWNED(cat) ::gdisim::audit::job_spawned(cat)
 #define GDISIM_AUDIT_JOB_COMPLETED(cat) ::gdisim::audit::job_completed(cat)
+#define GDISIM_AUDIT_JOBS_DISCARDED(cat, n) ::gdisim::audit::jobs_discarded(cat, n)
 #define GDISIM_AUDIT_CHECK(cond, what) ::gdisim::audit::check((cond), (what))
 #define GDISIM_AUDIT_NONNEG(value, what) ::gdisim::audit::check_nonneg((value), (what))
 #define GDISIM_AUDIT_FOLD_DRAIN(hash) ::gdisim::audit::fold_drain(hash)
@@ -141,6 +148,7 @@ inline void reset() {}
 #else
 #define GDISIM_AUDIT_JOB_SPAWNED(cat) ((void)0)
 #define GDISIM_AUDIT_JOB_COMPLETED(cat) ((void)0)
+#define GDISIM_AUDIT_JOBS_DISCARDED(cat, n) ((void)0)
 #define GDISIM_AUDIT_CHECK(cond, what) ((void)0)
 #define GDISIM_AUDIT_NONNEG(value, what) ((void)0)
 #define GDISIM_AUDIT_FOLD_DRAIN(hash) ((void)0)

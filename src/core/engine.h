@@ -11,7 +11,7 @@
 //                            shared queue (thesis §4.3.5; scales, reproduced
 //                            by bench_scalability_h_dispatch)
 // All engines must produce identical simulation results; only wall-clock
-// performance differs (tested in tests/core/engine_equivalence_test.cc).
+// performance differs (tested in tests/core/engine_test.cc).
 #pragma once
 
 #include <cstddef>

@@ -103,6 +103,7 @@ void archive_stagejob_queue(StateArchive& ar, HandlerRegistry& reg, Queue& queue
     std::uint64_t next = 0;
     queue.archive_state(ar, [&next](JobCtx) { return next++; }, {});
   } else {
+    pool.release_all();
     std::size_t n = 0;
     ar.count(n);
     std::vector<JobCtx> loaded;
@@ -112,7 +113,10 @@ void archive_stagejob_queue(StateArchive& ar, HandlerRegistry& reg, Queue& queue
       archive_stage_job(ar, reg, job);
       loaded.push_back(pool.create(job));
     }
-    queue.archive_state(ar, {}, [&loaded](std::uint64_t idx) { return loaded.at(idx); });
+    queue.archive_state(ar, {}, [&ar, &loaded](std::uint64_t idx) {
+      ar.expect_below(idx, std::uint64_t{loaded.size()}, "stage-job index");
+      return loaded[idx];
+    });
   }
 }
 
@@ -121,15 +125,8 @@ class Component : public Agent {
   Component() { inbox_.bind_owner(this); }
 
   /// Thread-safe submission; the job becomes serviceable at `visible_at`.
-  /// (sender, seq) make the inbox drain order deterministic. Inside a
-  /// batched-post window (DESIGN.md §10) the occupancy/wake bookkeeping is
-  /// deferred to the loop's phase-barrier flush; drain order and results
-  /// are unchanged.
+  /// (sender, seq) make the inbox drain order deterministic.
   void submit(Tick visible_at, AgentId sender, std::uint64_t seq, StageJob job) {
-    if (PostBatchWindow::open()) {
-      inbox_.post_deferred(visible_at, sender, seq, job);
-      return;
-    }
     inbox_.post(visible_at, sender, seq, job);
   }
 

@@ -72,6 +72,7 @@ void CpuComponent::archive_discipline(StateArchive& ar, HandlerRegistry& reg) {
       ar.u32(outstanding);
     }
   } else {
+    pool_.release_all();
     std::vector<PendingJob*> loaded;
     // Indices are first-encounter order, so a new job is exactly the next
     // one; a larger index can only come from a corrupt stream.

@@ -162,6 +162,9 @@ void SanComponent::archive_discipline(StateArchive& ar, HandlerRegistry& reg) {
     for (auto& q : dcc_) q.archive_state(ar, enc_branch, {});
     for (auto& q : hdd_) q.archive_state(ar, enc_branch, {});
   } else {
+    GDISIM_AUDIT_JOBS_DISCARDED(audit::Category::kSanJob, jobs_.live());
+    jobs_.release_all();
+    branch_jobs_.release_all();
     std::size_t nj = 0;
     ar.count(nj);
     std::vector<SanJob*> jobs;
@@ -181,10 +184,17 @@ void SanComponent::archive_discipline(StateArchive& ar, HandlerRegistry& reg) {
     for (std::size_t i = 0; i < nb; ++i) {
       std::uint64_t parent = 0;
       ar.u64(parent);
-      branches.push_back(branch_jobs_.create(BranchJob{jobs.at(parent)}));
+      ar.expect_below(parent, std::uint64_t{jobs.size()}, "san branch parent index");
+      branches.push_back(branch_jobs_.create(BranchJob{jobs[parent]}));
     }
-    const JobCtxDecoder dec_job = [&](std::uint64_t idx) -> JobCtx { return jobs.at(idx); };
-    const JobCtxDecoder dec_branch = [&](std::uint64_t idx) -> JobCtx { return branches.at(idx); };
+    const JobCtxDecoder dec_job = [&](std::uint64_t idx) -> JobCtx {
+      ar.expect_below(idx, std::uint64_t{jobs.size()}, "san job index");
+      return jobs[idx];
+    };
+    const JobCtxDecoder dec_branch = [&](std::uint64_t idx) -> JobCtx {
+      ar.expect_below(idx, std::uint64_t{branches.size()}, "san branch index");
+      return branches[idx];
+    };
     fcsw_.archive_state(ar, {}, dec_job);
     dacc_.archive_state(ar, {}, dec_job);
     fcal_.archive_state(ar, {}, dec_job);

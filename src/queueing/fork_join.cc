@@ -77,6 +77,8 @@ void ForkJoinQueue::archive_state(StateArchive& ar, const JobCtxEncoder& enc,
       ar.u64(code);
     }
   } else {
+    GDISIM_AUDIT_JOBS_DISCARDED(audit::Category::kForkJoinJob, joins_.live());
+    joins_.release_all();
     std::vector<JoinState*> loaded;
     // Indices are first-encounter order, so a new join is exactly the next
     // one; a larger index can only come from a corrupt stream.

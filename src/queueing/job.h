@@ -58,6 +58,17 @@ class JobPool {
   /// Contexts created and not yet destroyed.
   std::size_t live() const { return live_; }
 
+  /// Returns every slot to the free list, live or not. Snapshot decoders
+  /// call it before re-creating the checkpoint's in-flight jobs, so a load
+  /// into a simulator that already had jobs in flight reuses their slots
+  /// instead of orphaning them (and live() counts only the loaded jobs).
+  /// Slots are handed out again in allocation order.
+  void release_all() {
+    free_.clear();
+    for (auto it = slots_.rbegin(); it != slots_.rend(); ++it) free_.push_back(it->get());
+    live_ = 0;
+  }
+
  private:
   std::vector<std::unique_ptr<T>> slots_;  // ARCHIVE-TRANSIENT: pool storage; load re-allocates live jobs via archive_stagejob_queue
   std::vector<T*> free_;  // ARCHIVE-TRANSIENT: pool storage; load re-allocates live jobs via archive_stagejob_queue

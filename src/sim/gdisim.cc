@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "core/archive.h"
-#include "hardware/component.h"
 #include "sim/snapshot.h"
 
 namespace gdisim {
@@ -35,19 +34,6 @@ GdiSimulator::GdiSimulator(Scenario scenario, SimulatorConfig config)
         scenario_.ctx->instant_fraction());
     scenario_.ctx->set_route_cache(scenario_.route_cache.get());
   }
-
-  // Inbox post batching (DESIGN.md §10): the loop opens a post window around
-  // its agent phases; Component::submit defers the per-post occupancy/wake
-  // bookkeeping, and the barrier flush settles it once per touched inbox
-  // shard. The window flag only toggles inside this loop's step(), so a
-  // second simulator in the same process whose hooks were cleared (the
-  // unbatched reference path the equivalence tests run) never sees it open.
-  loop_->set_post_batch_hooks([] { PostBatchWindow::set_open(true); },
-                              [] { Inbox<StageJob>::flush_deferred_all(); },
-                              [] {
-                                Inbox<StageJob>::flush_deferred_all();
-                                PostBatchWindow::set_open(false);
-                              });
 
   collector_ = std::make_unique<Collector>(scenario_.tick_seconds);
   install_standard_probes(*collector_, scenario_);

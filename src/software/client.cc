@@ -412,6 +412,7 @@ void ClientPopulation::archive_state(StateArchive& ar, HandlerRegistry& reg) {
       ar.f64(size_mb);
       std::size_t slot_idx = 0;
       ar.size_value(slot_idx);
+      ar.expect_below(slot_idx, live_by_slot_.size(), "population live-slot index");
       LaunchParams params;
       params.origin_dc = config_.dc;
       params.owner_dc = owner;
@@ -424,7 +425,7 @@ void ClientPopulation::archive_state(StateArchive& ar, HandlerRegistry& reg) {
                                                           params, done_);
       reg.bind(id(), serial, instance.get());
       instance->archive_state(ar, reg);
-      live_by_slot_.at(slot_idx) = std::move(instance);
+      live_by_slot_[slot_idx] = std::move(instance);
     }
   }
 

@@ -1,10 +1,10 @@
 // The per-message fast path (DESIGN.md §10) has no switch: route memoization
-// and inbox post batching are always wired, and wake coalescing is how a
-// population sleeps. Their reference paths stay reachable by unwiring — the
-// operation context without a route cache builds every route, and a loop
-// without batch hooks settles every post at once — and must reproduce the
-// default run's fingerprint bit for bit, inline, on workers and under the
-// dense-sweep scheduler.
+// is always wired, and wake coalescing is how a population sleeps. The
+// uncached reference path stays reachable by unwiring — the operation
+// context without a route cache builds every route — and must reproduce the
+// default run's fingerprint bit for bit, inline and under the dense-sweep
+// scheduler. The 2-worker run pins the locked inbox post path, which carries
+// every post whenever the engine is not serial.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -24,7 +24,6 @@ constexpr std::uint64_t kConsolidatedHour = 0x735311b9c3a7c76full;
 struct Variant {
   const char* name;
   bool route_cache;
-  bool batch_hooks;
   SchedulerMode scheduler = SchedulerMode::kActiveSet;
   std::size_t threads = 0;
 };
@@ -38,19 +37,16 @@ std::uint64_t run(const Variant& v) {
   cfg.scheduler = v.scheduler;
   GdiSimulator sim(make_consolidated_scenario(opt), cfg);
   if (!v.route_cache) sim.scenario().ctx->set_route_cache(nullptr);
-  if (!v.batch_hooks) sim.loop().set_post_batch_hooks(nullptr, nullptr, nullptr);
   sim.run_until_seconds(3600.0);
   return result_fingerprint(sim);
 }
 
 TEST(FastPath, ReferencePathsReproduceDefault) {
   const Variant variants[] = {
-      {"default", true, true},
-      {"route cache unwired", false, true},
-      {"batch hooks cleared", true, false},
-      {"both", false, false},
-      {"both, dense sweep", false, false, SchedulerMode::kDenseSweep},
-      {"batch hooks cleared, 2 workers", true, false, SchedulerMode::kActiveSet, 2},
+      {"default", true},
+      {"route cache unwired", false},
+      {"route cache unwired, dense sweep", false, SchedulerMode::kDenseSweep},
+      {"default, 2 workers", true, SchedulerMode::kActiveSet, 2},
   };
   for (const Variant& v : variants) {
     char hex[20];

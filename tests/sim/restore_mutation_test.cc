@@ -120,6 +120,11 @@ TEST(RestoreMutation, EveryMutantLoadsOrFailsWithLocatedError) {
       EXPECT_EQ(what.rfind(path + ":byte ", 0), 0u)
           << "mutant " << m << " of " << configs[s].filename() << ": unlocated error '" << what
           << "'";
+      // Decoders bound every index with a named field, so a standard-library
+      // bounds check never stands in for the diagnostic.
+      EXPECT_EQ(what.find("_M_range_check"), std::string::npos)
+          << "mutant " << m << " of " << configs[s].filename() << ": unnamed index '" << what
+          << "'";
       EXPECT_TRUE(sim.save_state() == before[s])
           << "mutant " << m << " of " << configs[s].filename()
           << ": failed restore changed the state ('" << what << "')";

@@ -23,7 +23,11 @@
 #include "config/loader.h"
 #include "core/archive.h"
 #include "core/rng.h"
+#include "hardware/link.h"
 #include "hardware/nic.h"
+#include "hardware/raid.h"
+#include "hardware/san.h"
+#include "hardware/topology.h"
 #include "queueing/fork_join.h"
 #include "sim/fingerprint.h"
 #include "sim/gdisim.h"
@@ -315,6 +319,63 @@ TEST(SnapshotLayer, DaemonMidSynchrepRoundTrip) {
   EXPECT_EQ(result_fingerprint(*a), result_fingerprint(*b));
 }
 
+bool is_disk(Component* c) {
+  return dynamic_cast<RaidComponent*>(c) != nullptr || dynamic_cast<SanComponent*>(c) != nullptr;
+}
+
+/// True when some component that `want` accepts has a job in flight.
+template <typename Want>
+bool any_busy(GdiSimulator& sim, Want want) {
+  for (Component* c : sim.scenario().topology->all_components()) {
+    if (want(c) && c->queue_length() > 0) return true;
+  }
+  return false;
+}
+
+/// Runs `sim` to 30 s, then on in 0.5 s steps until any_busy (at most to
+/// 600 s); returns the simulated time reached.
+template <typename Want>
+double run_until_busy(GdiSimulator& sim, Want want) {
+  double t = 30.0;
+  sim.run_until_seconds(t);
+  while (!any_busy(sim, want) && t < 600.0) sim.run_until_seconds(t += 0.5);
+  return t;
+}
+
+// A load replaces the in-flight jobs of every pooled discipline. RAID and
+// SAN report their pool's live count as queue length, so a job the load
+// orphaned would keep them busy (and scheduled every tick) forever.
+TEST(SnapshotLayer, RepeatedLoadsDoNotOrphanPooledJobs) {
+  auto src = make_mini();
+  const double t = run_until_busy(*src, is_disk);
+  ASSERT_TRUE(any_busy(*src, is_disk)) << "no RAID or SAN job in flight by " << t << " s";
+  const std::vector<std::uint8_t> snap = src->save_state();
+
+  auto once = make_mini();
+  once->load_state(snap);
+  auto many = make_mini();
+  for (int i = 0; i < 50; ++i) many->load_state(snap);
+
+  const auto once_components = once->scenario().topology->all_components();
+  const auto many_components = many->scenario().topology->all_components();
+  ASSERT_EQ(once_components.size(), many_components.size());
+  for (std::size_t i = 0; i < once_components.size(); ++i) {
+    EXPECT_EQ(many_components[i]->queue_length(), once_components[i]->queue_length())
+        << many_components[i]->name();
+  }
+  EXPECT_EQ(many->save_state(), once->save_state());
+
+  once->run_until_seconds(t + 600.0);
+  many->run_until_seconds(t + 600.0);
+  const auto& once_runs = once->loop().scheduler_stats().per_agent_runs;
+  const auto& many_runs = many->loop().scheduler_stats().per_agent_runs;
+  for (Component* c : many_components) {
+    if (!is_disk(c)) continue;
+    EXPECT_EQ(many_runs.at(c->id()), once_runs.at(c->id())) << c->name();
+  }
+  EXPECT_EQ(result_fingerprint(*many), result_fingerprint(*once));
+}
+
 // ---------------------------------------------------------------------------
 // Archive corruption: a payload that fails mid-decode must be rejected
 // cleanly — the live simulator keeps its exact pre-load state (transactional
@@ -522,6 +583,39 @@ TEST(ArchiveCorruption, CpuJobIndexSkippingAheadRollsBack) {
     }
   }
   FAIL() << "no queued CPU job in the snapshot";
+}
+
+/// Offset of the first job index in a "ps" frame, or 0 when it holds no
+/// job. The active, waiting and latency-pipe lists follow in that order,
+/// each a u64 count then (double, job index, seq) per job.
+std::size_t first_ps_job_index(const std::vector<std::uint8_t>& p, std::size_t body) {
+  for (std::size_t at = body; at < body + 24; at += 8) {
+    if (get_u64(p, at) > 0) return at + 16;
+  }
+  return 0;
+}
+
+TEST(ArchiveCorruption, StageJobIndexOutOfRangeNamesTheField) {
+  // Links are the only PS stations; their job indices point into the
+  // link's stage-job table, which precedes the "ps" frame.
+  auto sim = make_mini();
+  const auto is_link = [](Component* c) { return dynamic_cast<LinkComponent*>(c) != nullptr; };
+  const double t = run_until_busy(*sim, is_link);
+  ASSERT_TRUE(any_busy(*sim, is_link)) << "no link job in flight by " << t << " s";
+  const std::vector<std::uint8_t> snap = sim->save_state();
+  for (const std::size_t ps : section_bodies(snap, "ps")) {
+    const std::size_t at = first_ps_job_index(snap, ps);
+    if (at == 0) continue;
+    try {
+      sim->load_state(patched(snap, at, std::uint64_t{1} << 40));
+      ADD_FAILURE() << "out-of-range stage-job index loaded";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("stage-job index"), std::string::npos) << e.what();
+    }
+    EXPECT_EQ(sim->save_state(), snap);
+    return;
+  }
+  FAIL() << "no link job in the snapshot's ps frames";
 }
 
 TEST(ArchiveCorruption, RestoreDiagnosticsNameFileAndByteOffset) {

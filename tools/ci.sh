@@ -18,7 +18,8 @@
 #   tidy     clang-tidy with the repo .clang-tidy profile (skipped with a
 #            notice when clang-tidy is not installed)
 #   smoke    determinism smoke: diff release fingerprints of the consolidated
-#            scenario between a -j1 and a -jN run (builds `release` if needed)
+#            scenario between the default inline run (--threads 0), a -j1 and
+#            a -jN run, and a -jN dense sweep (builds `release` if needed)
 #   snapshot checkpoint/restore equivalence: a run that checkpoints mid-flight
 #            and a fresh process that restores the snapshot must both produce
 #            the uninterrupted run's fingerprint (release and audit binaries)
@@ -112,18 +113,21 @@ run_tidy() {
 }
 
 run_smoke() {
-  echo "=== [smoke] determinism fingerprint: -j1 vs -j$SMOKE_THREADS ==="
+  echo "=== [smoke] determinism fingerprint: inline vs -j1 vs -j$SMOKE_THREADS ==="
   cmake --preset release >/dev/null
   cmake --build --preset release -j "$JOBS" --target gdisim_run >/dev/null
   local bin=build/tools/gdisim_run
-  local fp1 fpN
+  local fp0 fp1 fpN
+  # shellcheck disable=SC2086
+  fp0=$("$bin" $SMOKE_ARGS --threads 0 --quiet --fingerprint | grep '^fingerprint:')
   # shellcheck disable=SC2086
   fp1=$("$bin" $SMOKE_ARGS --threads 1 --quiet --fingerprint | grep '^fingerprint:')
   # shellcheck disable=SC2086
   fpN=$("$bin" $SMOKE_ARGS --threads "$SMOKE_THREADS" --quiet --fingerprint | grep '^fingerprint:')
+  echo "  inline: $fp0"
   echo "  -j1: $fp1"
   echo "  -j$SMOKE_THREADS: $fpN"
-  if [ "$fp1" != "$fpN" ]; then
+  if [ "$fp0" != "$fp1" ] || [ "$fp1" != "$fpN" ]; then
     echo "smoke: FINGERPRINT MISMATCH — results depend on thread count" >&2
     return 1
   fi

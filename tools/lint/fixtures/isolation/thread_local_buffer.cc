@@ -1,8 +1,8 @@
 // Fixture: thread_local declarations must carry a GDISIM-SHARED reason.
-// Per-thread staging buffers (the deferred-post dirty lists) are written by
-// their owning thread inside a phase and consumed by the master at the
-// barrier — a cross-thread handoff with no lock, so the inventory must
-// record why it is sound. Annotated declarations are exempt.
+// A per-thread staging buffer written by its owning thread inside a phase
+// and consumed by the master at the barrier is a cross-thread handoff with
+// no lock, so the inventory must record why it is sound. Annotated
+// declarations are exempt.
 #include <cstddef>
 #include <vector>
 

@@ -34,12 +34,11 @@ Rules:
                                 src/core/ without a GDISIM-SHARED
                                 annotation
   gdisim-thread-local-buffer    a thread_local declaration without a
-                                GDISIM-SHARED annotation; per-thread staging
-                                buffers (the deferred-post dirty lists, the
-                                shard-id counter) hand their contents to
-                                another thread at phase barriers, so they
-                                are part of the auditable shared-state
-                                inventory even though no lock guards them
+                                GDISIM-SHARED annotation; per-thread state
+                                (the inbox shard id) can hand its contents
+                                to another thread, so it is part of the
+                                auditable shared-state inventory even
+                                though no lock guards it
   gdisim-isolation-annotation-no-reason
                                 a GDISIM-SHARED / GDISIM-SERIAL-OK
                                 annotation without a reason
@@ -100,9 +99,9 @@ RULES = {
     },
     "gdisim-thread-local-buffer": {
         "message": "thread_local declaration without a GDISIM-SHARED "
-        "annotation: per-thread staging buffers (deferred-post dirty "
-        "lists, shard ids) are read by other threads at phase barriers, "
-        "so state why the handoff is sound (// GDISIM-SHARED: <reason>)",
+        "annotation: per-thread state (staging buffers, shard ids) can "
+        "be read by other threads, so state why the handoff is sound "
+        "(// GDISIM-SHARED: <reason>)",
     },
     "gdisim-isolation-annotation-no-reason": {
         "message": "GDISIM-SHARED / GDISIM-SERIAL-OK without a reason: "
@@ -477,9 +476,9 @@ def _unguarded_shared_findings(code_lines, raw_lines, rel) -> list[dict]:
 def _thread_local_findings(code_lines, raw_lines, rel) -> list[dict]:
     """gdisim-thread-local-buffer: every thread_local declaration must be
     sanctioned. Unlike raw-sync this applies inside src/core/ too — the
-    deferred-post staging buffers live there, and they are exactly the
-    pattern the rule exists for: storage written by one thread and consumed
-    by the master at a phase barrier."""
+    inbox shard id lives there — because per-thread storage that another
+    thread consumes (say, at a phase barrier) is exactly the pattern the
+    rule exists for."""
     findings = []
     rule = "gdisim-thread-local-buffer"
     for lineno, line in enumerate(code_lines, start=1):
